@@ -138,11 +138,11 @@ def _ingest_from_args(args, config) -> "SpecimenDataset":
     )
 
 
-def _mc_config(args, config) -> tuple[McConfig, int]:
+def _mc_config(args, config) -> McConfig:
     seed = _option(args.seed, config, "mc", "seed", int)
     if seed is None:
         raise CliUsageError("a seed is mandatory for stochastic commands (--seed)")
-    mc = McConfig(
+    return McConfig(
         seed=int(seed),
         n_count_samples=_option(args.count_samples, config, "mc", "count_samples", int, 1000),
         n_param_samples=_option(args.param_samples, config, "mc", "param_samples", int, 1000),
@@ -150,8 +150,6 @@ def _mc_config(args, config) -> tuple[McConfig, int]:
         histogram_bins=_option(args.bins, config, "mc", "bins", int, 2048),
         uncertainty_mode=_option(args.mode, config, "mc", "mode", str, "all"),
     )
-    workers = _option(args.workers, config, "mc", "workers", int, 1)
-    return mc, int(workers)
 
 
 def _stamp(seed: int, options: dict) -> dict:
@@ -246,8 +244,8 @@ def cmd_predict(args) -> int:
     volume = _require(_option(args.volume, config, "mc", "volume_mm3", float), "--volume")
     if volume <= 0:
         raise CliUsageError(f"--volume must be positive, got {volume}")
-    mc, workers = _mc_config(args, config)
-    dist = sample_largest(fit, VolumeOfInterest(volume), mc, workers=workers)
+    mc = _mc_config(args, config)
+    dist = sample_largest(fit, VolumeOfInterest(volume), mc)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,8 +343,8 @@ def cmd_sweep(args) -> int:
     )
     if not volumes:
         raise CliUsageError("--volumes must list at least one volume")
-    mc, workers = _mc_config(args, config)
-    points = volume_sweep(fit, volumes, mc, workers=workers)
+    mc = _mc_config(args, config)
+    points = volume_sweep(fit, volumes, mc)
     options = {
         "command": "sweep",
         "fit": str(args.fit),
@@ -427,11 +425,14 @@ def cmd_simulate(args) -> int:
 def _add_mc_flags(parser) -> None:
     parser.add_argument("--seed", type=int, help="random seed (mandatory)")
     parser.add_argument("--mode", choices=("none", "poisson_only", "all"))
-    parser.add_argument("--count-samples", type=int, dest="count_samples")
-    parser.add_argument("--param-samples", type=int, dest="param_samples")
-    parser.add_argument("--p-samples", type=int, dest="p_samples")
+    parser.add_argument("--count-samples", type=int, dest="count_samples",
+                        help="accepted and ignored: the count axis is exact")
+    parser.add_argument("--param-samples", type=int, dest="param_samples",
+                        help="Monte Carlo (scale, shape) draws in mode all")
+    parser.add_argument("--p-samples", type=int, dest="p_samples",
+                        help="accepted and ignored: the probability axis is exact")
     parser.add_argument("--bins", type=int)
-    parser.add_argument("--workers", type=int)
+    parser.add_argument("--workers", type=int, help="accepted and ignored")
 
 
 def build_parser() -> _Parser:

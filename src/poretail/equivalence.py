@@ -70,8 +70,20 @@ def ks_statistic(cdf_a, cdf_b) -> float:
     return float(max(d_right.max(), d_left.max()))
 
 
+def _check_observation(observed_um: float) -> None:
+    if not (math.isfinite(observed_um) and observed_um >= 0.0):
+        raise ValueError(
+            f"observed largest pore must be a finite, non-negative diameter "
+            f"(um), got {observed_um}"
+        )
+
+
 def q_value(dist: LargestPoreDistribution, observed_um: float) -> float:
-    """Estimated CDF at the observed largest pore (interpolated between edges)."""
+    """Estimated CDF at the observed largest pore (interpolated between edges).
+
+    A non-finite or negative observation is refused with a ValueError.
+    """
+    _check_observation(observed_um)
     if observed_um > dist.bin_edges_um[-1] and dist.overflow_mass > 0:
         warnings.warn(FLAG_ABOVE_RANGE, stacklevel=2)
     return float(dist.cdf(observed_um))
@@ -82,8 +94,10 @@ def p_value(dist: LargestPoreDistribution, observed_um: float) -> float:
 
     Histogram masses are treated as atoms at their bin midpoints, the
     no-pore mass as an atom at 0 and the overflow mass as an atom at the
-    top edge, so hand-countable discrete cases are exact.
+    top edge, so hand-countable discrete cases are exact. A non-finite or
+    negative observation is refused with a ValueError.
     """
+    _check_observation(observed_um)
     if not math.isfinite(dist.mean_um):
         raise ValueError("p-value needs a finite distribution mean")
     distance = abs(observed_um - dist.mean_um)
@@ -213,7 +227,7 @@ def mode_comparison_table(
     """KS distances from the no-uncertainty CDF per volume and mode.
 
     `configs` supplies one sampling plan per mode ("none", "poisson_only",
-    "all"); rows match KS_MATRIX_COLUMNS.
+    "all"); rows match KS_MATRIX_COLUMNS. `workers` is accepted and ignored.
     """
     for mode in ("none", "poisson_only", "all"):
         if mode not in configs:
@@ -223,9 +237,9 @@ def mode_comparison_table(
     rows = []
     for volume in volumes_mm3:
         voi = VolumeOfInterest(volume)
-        base = sample_largest(fit, voi, configs["none"], workers=workers)
-        poisson = sample_largest(fit, voi, configs["poisson_only"], workers=workers)
-        full = sample_largest(fit, voi, configs["all"], workers=workers)
+        base = sample_largest(fit, voi, configs["none"])
+        poisson = sample_largest(fit, voi, configs["poisson_only"])
+        full = sample_largest(fit, voi, configs["all"])
         rows.append(
             (
                 float(volume),

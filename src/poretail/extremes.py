@@ -1,51 +1,56 @@
 """Largest-pore estimation in a volume of interest.
 
 Closed-form largest-pore CDF/quantiles for a known exceedance count, the
-Poisson exceedance-rate model, and the Monte Carlo engine that propagates
-count and parameter uncertainty into the distribution of the largest
-equivalent diameter. The engine folds a product grid of sampled counts,
-(scale, shape) pairs and uniform probabilities into a streaming histogram:
-memory stays constant in the total sample count, and the count axis can be
-partitioned across workers with per-slice derived seed streams so the
-result is bit-identical for any worker count.
+Poisson exceedance-rate model, and the engine that propagates count and
+parameter uncertainty into the distribution of the largest equivalent
+diameter. The Poisson count (with its clamped-Gaussian rate) and the
+uniform-probability axis have closed forms, so the engine evaluates the
+largest-pore CDF exactly at the histogram edges and averages it over
+Monte Carlo (scale, shape) draws, the only axis it samples. The draws are
+processed in blocks of bounded size, and the result does not depend on
+the block size.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import erfcx, log_ndtr
 
 from .geometry import SpecimenDataset
 from .gpd import (
-    XI_SWITCH,
     FitError,
     GpdParams,
     MIN_TAIL_COUNT,
     TailFit,
+    _log_survival,
+    _quantile_from_tail_prob,
     gpd_cdf,
     select_estimator,
 )
 
 UNCERTAINTY_MODES = ("none", "poisson_only", "all")
 
-# Seed-stream tags; per-slice fallback streams are keyed (seed, tag, slice).
-_TAG_COUNT = 1
+# Seed-stream tag of the (scale, shape) draws; the value keeps the draws of
+# earlier versions.
 _TAG_PARAM = 2
-_TAG_P = 3
-_TAG_FALLBACK = 4
-_TAG_PILOT = 5
-
-_PILOT_SAMPLES = 65536
-_PILOT_QUANTILE = 0.99999
 _PARAM_REJECTION_ROUNDS = 100
 
-FLAG_EMPTY_FALLBACK = "zero exceedance count sampled with empty sub-threshold record"
+# Probability mass the histogram leaves beyond its top edge; an empty-record
+# no-pore atom lighter than this is not flagged either.
+_UNRESOLVED_MASS = 1e-5
+# Bisection narrows the top edge to 2**-40 of its bracket, far inside a bin.
+_BISECTION_STEPS = 40
+# Elements per block of (scale, shape) draws x diameters: bounds the engine's
+# temporaries at about 512 kB each.
+_CHUNK_ELEMENTS = 1 << 16
+
+FLAG_EMPTY_FALLBACK = "zero exceedance count possible with empty sub-threshold record"
 FLAG_NO_EXCEEDANCES = "no pores above threshold"
-FLAG_DEGENERATE_PILOT = "histogram range from degenerate pilot run"
+FLAG_DEGENERATE_RANGE = "degenerate histogram range: CDF at its target at the lowest edge or nowhere"
 
 
 class CovarianceUnavailableError(RuntimeError):
@@ -65,14 +70,15 @@ class VolumeOfInterest:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo sampling plan.
+    """Sampling plan of the largest-pore engine.
 
-    The engine evaluates every combination of n_count_samples exceedance
-    counts, n_param_samples (scale, shape) pairs and n_p_samples uniform
-    probabilities. uncertainty_mode selects what is actually sampled:
-    "none" pins the count at rate*volume and the parameters at their point
-    estimates, "poisson_only" samples counts but pins parameters, and
-    "all" samples both.
+    uncertainty_mode selects what is propagated: "none" pins the count at
+    rate*volume and the parameters at their point estimates,
+    "poisson_only" integrates over the count but pins the parameters, and
+    "all" integrates over both, with n_param_samples Monte Carlo (scale,
+    shape) draws. The count and probability axes are integrated exactly, so
+    n_count_samples and n_p_samples are accepted, validated and echoed in
+    the provenance, but ignored; total_samples is the nominal product.
     """
 
     seed: int
@@ -190,38 +196,25 @@ def largest_quantile_closed(params: GpdParams, n_pores, p) -> np.ndarray | float
         raise ValueError("quantile at p = 1 is unbounded for shape >= 0")
     with np.errstate(divide="ignore"):
         one_minus_q = -np.expm1(np.log(p_arr) / n_arr)
-        log_omq = np.log(one_minus_q)
-    out = _eval_largest(
-        params.threshold_um,
-        np.asarray(params.scale_um, dtype=float),
-        np.asarray(params.shape, dtype=float),
-        log_omq,
+    out = _quantile_from_tail_prob(
+        params.threshold_um, params.scale_um, params.shape, one_minus_q
     )
     if np.ndim(p) == 0 and np.ndim(n_pores) == 0:
         return float(out)
     return out
 
 
-def _eval_largest(mu: float, sigma, xi, log_omq) -> np.ndarray:
-    """Largest-pore values from log(1 - p**(1/N)), broadcasting over params."""
-    small = np.abs(xi) < XI_SWITCH
-    xi_safe = np.where(small, 1.0, xi)
-    out = mu + (sigma / xi_safe) * np.expm1(-xi * log_omq)
-    if np.any(small):
-        limit = mu - sigma * log_omq
-        out = np.where(np.broadcast_to(small, out.shape), limit, out)
-    return np.asarray(out, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class LargestPoreDistribution:
     """Histogram approximation of the largest-pore distribution.
 
-    Carries the binned probability mass, the numerically integrated CDF at
-    the bin edges, the point mass at "no pores" (diameter 0), the residual
-    mass beyond the top edge, and summary statistics. The mean is the exact
-    streaming mean of all sampled values (overflow included, "no pores"
-    counted as 0).
+    Carries the binned probability mass, the CDF at the bin edges, the
+    point mass at "no pores" (diameter 0), the residual mass beyond the top
+    edge, and summary statistics. The mean is that of the histogram: bin
+    masses at their midpoints, the overflow mass at the top edge and "no
+    pores" at 0, so it stays finite when the tail's own mean does not exist
+    (shape >= 1). n_samples_total is the number of (scale, shape) points
+    the engine integrated over.
     """
 
     bin_edges_um: np.ndarray
@@ -270,7 +263,7 @@ class LargestPoreDistribution:
         provenance: dict | None = None,
         flags: tuple[str, ...] = (),
     ) -> "LargestPoreDistribution":
-        """Build a distribution directly from bin masses (tests, file IO)."""
+        """Build a distribution from bin masses (engine, tests, file IO)."""
         edges = np.asarray(bin_edges_um, dtype=float)
         pdf = np.asarray(pdf_mass, dtype=float)
         cdf = np.concatenate([[no_pore_mass], no_pore_mass + np.cumsum(pdf)])
@@ -394,160 +387,115 @@ def _draw_param_samples(
     return draws[:, 0].copy(), draws[:, 1].copy()
 
 
-def _empirical_inverse(values_asc: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Right-continuous inverse of the empirical step CDF."""
-    m = values_asc.size
-    idx = np.ceil(u * m).astype(np.int64) - 1
-    np.clip(idx, 0, m - 1, out=idx)
-    return values_asc[idx]
+def _log_laplace_rate(a, lam: float, se: float) -> np.ndarray:
+    """log E[exp(-a R)] for the rate R = max(Normal(lam, se^2), 0), a >= 0.
 
-
-def _pilot_high(fit: TailFit, volume: float, config: McConfig) -> float | None:
-    """Upper histogram edge from a small independent pilot of the same model."""
-    rng = _stream(config.seed, _TAG_PILOT)
-    k = _PILOT_SAMPLES
-    lam_above = fit.lambda_above_per_mm3 or 0.0
-    se_above = fit.lambda_above_se or 0.0
-    lam_below = fit.lambda_below_per_mm3 or 0.0
-    emp = fit.empirical_below_um
-    emp = np.asarray(emp, dtype=float) if emp is not None else np.empty(0)
-
-    if config.uncertainty_mode == "none":
-        counts = np.full(k, lam_above * volume)
-    else:
-        rates = np.maximum(lam_above + se_above * rng.standard_normal(k), 0.0)
-        counts = rng.poisson(rates * volume).astype(float)
-    if config.uncertainty_mode == "all":
-        sigma, xi = _draw_param_samples(fit, k, rng)
-    else:
-        sigma = np.full(k, fit.params.scale_um)
-        xi = np.full(k, fit.params.shape)
-    p = rng.random(k)
-
-    values = []
-    pos = counts > 0
-    if np.any(pos):
-        with np.errstate(divide="ignore"):
-            omq = -np.expm1(np.log(p[pos]) / counts[pos])
-            log_omq = np.log(omq)
-        values.append(
-            _eval_largest(fit.params.threshold_um, sigma[pos], xi[pos], log_omq)
-        )
-    n_zero = int(np.count_nonzero(~pos))
-    if n_zero and emp.size:
-        if config.uncertainty_mode == "none":
-            m_counts = np.full(n_zero, lam_below * volume)
-        else:
-            m_counts = rng.poisson(lam_below * volume, n_zero).astype(float)
-        m_pos = m_counts > 0
-        if np.any(m_pos):
-            u = p[~pos][m_pos] ** (1.0 / m_counts[m_pos])
-            values.append(_empirical_inverse(emp, u))
-    if not values:
-        return None
-    stacked = np.concatenate(values)
-    return float(np.quantile(stacked, _PILOT_QUANTILE))
-
-
-@dataclass
-class _ChunkSpec:
-    """One worker's share of the count axis plus the shared sample arrays."""
-
-    start: int
-    counts: np.ndarray
-    sigma: np.ndarray
-    xi: np.ndarray
-    p: np.ndarray
-    threshold_um: float
-    lo: float
-    inv_width: float
-    n_bins: int
-    seed: int
-    param_mult: int
-    n_param_total: int
-    lam_below_volume: float
-    pinned_fallback: bool
-    empirical_below: np.ndarray
-
-
-def _run_chunk(spec: _ChunkSpec) -> tuple[np.ndarray, int, int, np.ndarray, bool]:
-    """Fold one contiguous range of count slices into a histogram.
-
-    Returns (bin counts, overflow count, no-pore count, per-slice value
-    sums, empty-fallback-hit flag). Only per-slice buffers are held, so
-    memory is constant in the number of slices.
+    Splitting at R = 0: P(R = 0) = Phi(-lam/se), and completing the square
+    over R > 0 gives exp(-a lam + (a se)^2 / 2) Phi(x) with x = lam/se - a se.
     """
-    n_p = spec.p.size
-    n_param = spec.sigma.size
-    counts = np.zeros(spec.n_bins, dtype=np.int64)
-    overflow = 0
-    no_pore = 0
-    sums = np.zeros(spec.counts.size)
-    empty_fallback = False
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if se <= 0.0:
+        return -a * lam
+    t = lam / se
+    x = t - a * se
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        positive = -a * lam + 0.5 * (a * se) ** 2 + log_ndtr(x)
+        # For x < 0 those terms cancel: use exp(x^2 / 2) Phi(x) = erfcx(-x/sqrt 2) / 2
+        far = x < 0.0
+        positive[far] = np.log(0.5 * erfcx(-x[far] / np.sqrt(2.0))) - 0.5 * t * t
+    return np.logaddexp(log_ndtr(-t), positive)
 
-    neg_xi = -spec.xi[:, None]
-    small = np.abs(spec.xi) < XI_SWITCH
-    xi_safe = np.where(small, 1.0, spec.xi)
-    coef = (spec.sigma / xi_safe)[:, None]
-    emp = spec.empirical_below
-    work = np.empty((n_param, n_p))
 
-    def bin_values(values: np.ndarray, weight: int) -> tuple[int, float]:
-        total = float(values.sum()) * weight
-        scaled = (values - spec.lo) * spec.inv_width
-        idx = scaled.astype(np.int64)
-        np.clip(idx, 0, spec.n_bins, out=idx)
-        binned = np.bincount(idx.ravel(), minlength=spec.n_bins + 1)
-        counts[:] += binned[: spec.n_bins] * weight
-        return int(binned[spec.n_bins]) * weight, total
+class _LargestCdf:
+    """P(largest pore in the volume <= d), exact over count and probability.
 
-    for k in range(spec.counts.size):
-        n_i = float(spec.counts[k])
-        if n_i > 0.0:
+    Above the threshold u, with S the tail survival function and R the
+    clamped-Gaussian rate, P(max <= d | scale, shape) = E exp(-R V S(d)) in
+    closed form (no tail pore, N = 0, included), and the CDF is its mean
+    over the (scale, shape) points. Below u only volumes without tail pores
+    contribute, their largest pore being the largest of a Poisson(lam_b V)
+    resample of the sub-threshold record: P(N = 0) exp(-lam_b V (1 - F_emp(d))).
+    Mode "none" pins the count at lam V instead, giving F(d) ** (lam V), or,
+    when lam V = 0, the pinned sub-threshold fallback F_emp(d) ** (lam_b V).
+    An empty sub-threshold record counts as F_emp = 1 (no pore at all).
+    """
+
+    def __init__(self, fit: TailFit, volume: float, mode: str, sigma, xi) -> None:
+        self.threshold = fit.params.threshold_um
+        self.sigma = sigma
+        self.xi = xi
+        self.volume = volume
+        self.mode = mode
+        self.lam = fit.lambda_above_per_mm3
+        self.lam_se = fit.lambda_above_se or 0.0
+        self.lam_below_volume = fit.lambda_below_per_mm3 * volume
+        emp = fit.empirical_below_um
+        self.emp = np.asarray(emp, dtype=float) if emp is not None else np.empty(0)
+        self.pinned_fallback = mode == "none" and self.lam * volume == 0.0
+        if mode == "none":
+            self.p_zero = 0.0
+        else:
+            self.p_zero = float(np.exp(_log_laplace_rate(volume, self.lam, self.lam_se))[0])
+
+    def __call__(self, d) -> np.ndarray:
+        d = np.atleast_1d(np.asarray(d, dtype=float))
+        if self.pinned_fallback:
+            return self._emp_cdf(d) ** self.lam_below_volume
+        out = np.empty(d.shape)
+        below = d < self.threshold
+        out[below] = self.p_zero * np.exp(
+            -self.lam_below_volume * (1.0 - self._emp_cdf(d[below]))
+        )
+        out[~below] = self._mean_over_params(d[~below])
+        return out
+
+    def _emp_cdf(self, d: np.ndarray) -> np.ndarray:
+        if self.emp.size == 0:
+            return np.ones(d.shape)
+        return np.searchsorted(self.emp, d, side="right") / self.emp.size
+
+    def _given_params(self, log_s: np.ndarray) -> np.ndarray:
+        if self.mode == "none":
             with np.errstate(divide="ignore"):
-                omq = -np.expm1(np.log(spec.p) / n_i)
-                log_omq = np.log(omq)
-            np.multiply(neg_xi, log_omq[None, :], out=work)
-            np.expm1(work, out=work)
-            np.multiply(work, coef, out=work)
-            work += spec.threshold_um
-            if np.any(small):
-                work[small] = spec.threshold_um - spec.sigma[small, None] * log_omq[None, :]
-            over, total = bin_values(work, spec.param_mult)
-            overflow += over
-            sums[k] = total
-            continue
+                return np.exp(self.lam * self.volume * np.log1p(-np.exp(log_s)))
+        return np.exp(_log_laplace_rate(self.volume * np.exp(log_s), self.lam, self.lam_se))
 
-        # Zero exceedance count: invert the sub-threshold empirical CDF at
-        # p**(1/M) with M Poisson per combination (pinned in mode "none").
-        if emp.size == 0:
-            no_pore += spec.n_param_total * n_p
-            empty_fallback = True
-            continue
-        if spec.pinned_fallback:
-            m_pinned = spec.lam_below_volume
-            if m_pinned <= 0.0:
-                no_pore += spec.n_param_total * n_p
-                continue
-            u = spec.p ** (1.0 / m_pinned)
-            values = _empirical_inverse(emp, u)
-            over, total = bin_values(values, spec.n_param_total)
-            overflow += over
-            sums[k] = total
-            continue
-        rng = _stream(spec.seed, _TAG_FALLBACK, spec.start + k)
-        m = rng.poisson(spec.lam_below_volume, (spec.n_param_total, n_p))
-        pos = m > 0
-        n_zero = int(m.size - np.count_nonzero(pos))
-        no_pore += n_zero
-        if n_zero < m.size:
-            u = np.broadcast_to(spec.p, m.shape)[pos] ** (1.0 / m[pos])
-            values = _empirical_inverse(emp, u)
-            over, total = bin_values(values, 1)
-            overflow += over
-            sums[k] = total
+    def _mean_over_params(self, d: np.ndarray) -> np.ndarray:
+        rows = max(1, _CHUNK_ELEMENTS // max(d.size, 1))
+        total = np.zeros(d.size)
+        for start in range(0, self.sigma.size, rows):
+            block = slice(start, start + rows)
+            log_s = _log_survival(
+                self.threshold, self.sigma[block, None], self.xi[block, None], d
+            )
+            # row by row, so that the sum does not depend on the block size
+            for row in self._given_params(log_s):
+                total += row
+        return total / self.sigma.size
 
-    return counts, overflow, no_pore, sums, empty_fallback
+
+def _top_edge(cdf: _LargestCdf, lo: float, start: float) -> float | None:
+    """Diameter where the CDF reaches 1 - _UNRESOLVED_MASS, by bisection.
+
+    The bracket grows from [lo, start] by doubling its distance from lo.
+    None when the CDF already reaches the target at lo, or no finite
+    diameter does.
+    """
+    target = 1.0 - _UNRESOLVED_MASS
+    if cdf(lo)[0] >= target:
+        return None
+    below, above = lo, start
+    while cdf(above)[0] < target:
+        below, above = above, lo + 2.0 * (above - lo)
+        if not np.isfinite(above):
+            return None
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (below + above)
+        if cdf(mid)[0] < target:
+            below = mid
+        else:
+            above = mid
+    return above
 
 
 def sample_largest(
@@ -557,132 +505,58 @@ def sample_largest(
     *,
     workers: int = 1,
 ) -> LargestPoreDistribution:
-    """Monte Carlo largest-pore distribution for a volume of interest.
+    """Largest-pore distribution for a volume of interest.
 
-    Exceedance counts are Poisson draws with the rate itself drawn from its
-    Gaussian estimate (clamped at zero); (scale, shape) pairs come from the
-    estimator's asymptotic bivariate normal; probabilities are standard
-    uniform. Every grid combination with a positive count is pushed through
-    the closed-form largest-pore quantile; zero-count combinations fall
-    back to the sub-threshold empirical distribution, and an empty draw
-    contributes to the "no pores" mass at diameter 0.
+    Exceedance counts are Poisson with the rate drawn from its Gaussian
+    estimate (clamped at zero); (scale, shape) pairs come from the
+    estimator's asymptotic bivariate normal. Volumes without tail pores
+    fall back to the sub-threshold empirical distribution, and volumes
+    without any pore make up the "no pores" mass at diameter 0. The count
+    and probability axes are integrated exactly at the histogram edges
+    (see _LargestCdf); only the n_param_samples (scale, shape) draws of mode
+    "all" are Monte Carlo. The top edge is where the CDF reaches 1 - 1e-5.
 
-    The result is independent of `workers` for a fixed seed.
+    `workers` is accepted and ignored: the result is the same for any value.
     """
     if fit.lambda_above_per_mm3 is None or fit.lambda_below_per_mm3 is None:
         raise ValueError("fit lacks rate estimates; build it with fit_tail()")
     mode = config.uncertainty_mode
     volume = voi.volume_mm3
-    lam_above = fit.lambda_above_per_mm3
-    lam_below = fit.lambda_below_per_mm3
-    emp = fit.empirical_below_um
-    emp = np.asarray(emp, dtype=float) if emp is not None else np.empty(0)
-    flags: list[str] = []
-
-    # Count axis. In mode "none" every slice is the pinned value, so the
-    # axis collapses to one slice carried with multiplicity.
-    if mode == "none":
-        count_values = np.array([lam_above * volume])
-        count_mult = config.n_count_samples
-    else:
-        rng_count = _stream(config.seed, _TAG_COUNT)
-        z = rng_count.standard_normal(config.n_count_samples)
-        rates = np.maximum(lam_above + (fit.lambda_above_se or 0.0) * z, 0.0)
-        count_values = rng_count.poisson(rates * volume).astype(float)
-        count_mult = 1
-
-    # Parameter axis; pinned modes carry the point estimate with multiplicity.
     if mode == "all":
         sigma, xi = _draw_param_samples(
             fit, config.n_param_samples, _stream(config.seed, _TAG_PARAM)
         )
-        param_mult = 1
     else:
         sigma = np.array([fit.params.scale_um])
         xi = np.array([fit.params.shape])
-        param_mult = config.n_param_samples
-
-    p = _stream(config.seed, _TAG_P).random(config.n_p_samples)
+    cdf = _LargestCdf(fit, volume, mode, sigma, xi)
+    flags: list[str] = []
 
     lo = fit.params.threshold_um
-    fallback_possible = mode != "none" or lam_above * volume == 0.0
-    if emp.size and fallback_possible:
-        lo = min(lo, float(emp[0]))
-    hi = _pilot_high(fit, volume, config)
-    if hi is None or hi <= lo:
+    if cdf.emp.size and (mode != "none" or cdf.pinned_fallback):
+        lo = min(lo, float(cdf.emp[0]))
+    hi = _top_edge(cdf, lo, fit.params.threshold_um + fit.params.scale_um)
+    if hi is None:
         hi = lo + max(abs(lo), 1.0)
-        flags.append(FLAG_DEGENERATE_PILOT)
+        flags.append(FLAG_DEGENERATE_RANGE)
     edges = np.linspace(lo, hi, config.histogram_bins + 1)
-    inv_width = config.histogram_bins / (hi - lo)
 
-    n_slices = count_values.size
-    n_workers = max(1, min(int(workers), n_slices))
-    bounds = np.linspace(0, n_slices, n_workers + 1).astype(int)
-    chunks = [
-        _ChunkSpec(
-            start=int(bounds[w]),
-            counts=count_values[bounds[w] : bounds[w + 1]],
-            sigma=sigma,
-            xi=xi,
-            p=p,
-            threshold_um=fit.params.threshold_um,
-            lo=lo,
-            inv_width=inv_width,
-            n_bins=config.histogram_bins,
-            seed=config.seed,
-            param_mult=param_mult,
-            n_param_total=config.n_param_samples,
-            lam_below_volume=lam_below * volume,
-            pinned_fallback=mode == "none",
-            empirical_below=emp,
-        )
-        for w in range(n_workers)
-        if bounds[w] < bounds[w + 1]
-    ]
-
-    if len(chunks) == 1:
-        results = [_run_chunk(chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_run_chunk, chunks))
-
-    counts = np.zeros(config.histogram_bins, dtype=np.int64)
-    overflow = 0
-    no_pore = 0
-    slice_sums = np.zeros(n_slices)
-    empty_fallback = False
-    for chunk, (c, over, npore, sums, hit) in zip(chunks, results):
-        counts += c
-        overflow += over
-        no_pore += npore
-        slice_sums[chunk.start : chunk.start + sums.size] = sums
-        empty_fallback = empty_fallback or hit
-
-    total = config.total_samples
-    counts = counts * count_mult
-    overflow *= count_mult
-    no_pore *= count_mult
-    total_sum = float(np.sum(slice_sums)) * count_mult
-
-    if empty_fallback:
+    # diameters are positive, so the CDF at 0 is the no-pore atom; the
+    # lowest edge's own mass goes to the first bin
+    no_pore_mass = float(cdf(0.0)[0])
+    at_edges = np.clip(cdf(edges), 0.0, 1.0)
+    at_edges[0] = no_pore_mass
+    at_edges = np.maximum.accumulate(at_edges)
+    if cdf.emp.size == 0 and no_pore_mass >= _UNRESOLVED_MASS:
         flags.append(FLAG_EMPTY_FALLBACK)
         warnings.warn(FLAG_EMPTY_FALLBACK, stacklevel=2)
 
-    pdf = counts / total
-    no_pore_mass = no_pore / total
-    overflow_mass = overflow / total
-    cdf = np.concatenate([[no_pore_mass], no_pore_mass + np.cumsum(pdf)])
-    dist = LargestPoreDistribution(
-        bin_edges_um=edges,
-        pdf_mass=pdf,
-        cdf_at_edges=cdf,
+    return LargestPoreDistribution.from_masses(
+        edges,
+        np.diff(at_edges),
         no_pore_mass=no_pore_mass,
-        overflow_mass=overflow_mass,
-        mean_um=total_sum / total,
-        p2_5_um=np.nan,
-        p50_um=np.nan,
-        p97_5_um=np.nan,
-        n_samples_total=total,
+        overflow_mass=1.0 - float(at_edges[-1]),
+        n_samples_total=sigma.size,
         provenance={
             "fit_id": fit.fit_id,
             "volume_mm3": volume,
@@ -695,10 +569,6 @@ def sample_largest(
         },
         flags=tuple(flags),
     )
-    object.__setattr__(dist, "p2_5_um", dist.quantile(0.025))
-    object.__setattr__(dist, "p50_um", dist.quantile(0.5))
-    object.__setattr__(dist, "p97_5_um", dist.quantile(0.975))
-    return dist
 
 
 @dataclass(frozen=True)
@@ -722,8 +592,9 @@ def volume_sweep(
 ) -> list[VolumePoint]:
     """Largest-pore summaries over an ascending ladder of volumes.
 
-    Every volume is sampled with the same seed (common random numbers), so
-    a single-volume sweep reproduces sample_largest exactly.
+    Every volume uses the same (scale, shape) draws (common random numbers),
+    so a single-volume sweep reproduces sample_largest exactly. `workers`
+    is accepted and ignored.
     """
     vols = list(volumes_mm3)
     if not vols:
@@ -734,7 +605,7 @@ def volume_sweep(
         raise ValueError("volumes must be strictly ascending")
     points = []
     for volume in vols:
-        dist = sample_largest(fit, VolumeOfInterest(volume), config, workers=workers)
+        dist = sample_largest(fit, VolumeOfInterest(volume), config)
         points.append(
             VolumePoint(
                 volume_mm3=volume,

@@ -51,41 +51,47 @@ class GpdParams:
         return np.inf
 
 
+def _log_survival(threshold_um, scale_um, shape, d) -> np.ndarray:
+    """log(1 - F(d)) of the tail, broadcasting over d, scale and shape.
+
+    Values at or below the threshold map to 0 and values at or beyond the
+    upper support bound (negative shape) map to -inf.
+    """
+    y = np.maximum((np.asarray(d, dtype=float) - threshold_um) / scale_um, 0.0)
+    shape = np.asarray(shape, dtype=float)
+    small = np.abs(shape) < XI_SWITCH
+    z = np.maximum(shape * y, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, -y, -np.log1p(z) / np.where(small, 1.0, shape))
+
+
 def gpd_cdf(params: GpdParams, d) -> np.ndarray | float:
     """CDF of the tail at diameter(s) d.
 
     Values below the threshold map to 0 and values beyond the upper support
     bound (negative shape) map to 1 by convention.
     """
-    d_arr = np.asarray(d, dtype=float)
-    y = (d_arr - params.threshold_um) / params.scale_um
-    xi = params.shape
-    if abs(xi) < XI_SWITCH:
-        out = -np.expm1(-np.maximum(y, 0.0))
-    else:
-        zm1 = np.maximum(xi * np.maximum(y, 0.0), -1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(zm1 > -1.0, -np.expm1(-np.log1p(zm1) / xi), 1.0)
-    out = np.where(y <= 0.0, 0.0, out)
+    # 0 - expm1 rather than -expm1: no negative zero at and below the threshold
+    out = 0.0 - np.expm1(
+        _log_survival(params.threshold_um, params.scale_um, params.shape, d)
+    )
     if np.ndim(d) == 0:
         return float(out)
     return out
 
 
-def _quantile_from_tail_prob(params: GpdParams, one_minus_q) -> np.ndarray:
+def _quantile_from_tail_prob(threshold_um, scale_um, shape, one_minus_q) -> np.ndarray:
     """Quantile expressed through the exceedance probability 1 - q.
 
     Working from 1 - q directly avoids cancellation when q is very close
-    to 1 (deep-tail evaluation).
+    to 1 (deep-tail evaluation). Scale and shape broadcast against 1 - q.
     """
-    omq = np.asarray(one_minus_q, dtype=float)
-    xi = params.shape
-    sigma = params.scale_um
-    with np.errstate(divide="ignore"):
-        log_omq = np.log(omq)
-    if abs(xi) < XI_SWITCH:
-        return params.threshold_um - sigma * log_omq
-    return params.threshold_um + sigma * np.expm1(-xi * log_omq) / xi
+    shape = np.asarray(shape, dtype=float)
+    small = np.abs(shape) < XI_SWITCH
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_omq = np.log(np.asarray(one_minus_q, dtype=float))
+        power = scale_um * np.expm1(-shape * log_omq) / np.where(small, 1.0, shape)
+        return threshold_um + np.where(small, -scale_um * log_omq, power)
 
 
 def gpd_quantile(params: GpdParams, q) -> np.ndarray | float:
@@ -99,7 +105,9 @@ def gpd_quantile(params: GpdParams, q) -> np.ndarray | float:
         raise ValueError("q must lie in [0, 1]")
     if params.shape >= 0 and np.any(q_arr == 1.0):
         raise ValueError("quantile at q = 1 is unbounded for shape >= 0")
-    out = _quantile_from_tail_prob(params, 1.0 - q_arr)
+    out = _quantile_from_tail_prob(
+        params.threshold_um, params.scale_um, params.shape, 1.0 - q_arr
+    )
     if np.ndim(q) == 0:
         return float(out)
     return out

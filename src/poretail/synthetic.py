@@ -5,11 +5,11 @@ pore counts on each side of the threshold are Poisson in the specimen
 volume, tail sizes follow the Generalized Pareto tail, and sub-threshold
 sizes follow a bulk family truncated at the threshold. The brute-force
 functions estimate largest-pore distributions by directly simulating many
-volumes and recording each maximum; they deliberately avoid the sampling
-shortcuts of the Monte Carlo engine so they can serve as independent
+volumes and recording each maximum; they deliberately avoid the closed
+forms of the largest-pore engine so they can serve as independent
 references (tail draws come from scipy or from a plain power-form
-quantile, replications are i.i.d. rather than a product grid, and the
-output is an empirical CDF rather than a histogram).
+quantile, every count and tail size is drawn rather than integrated, and
+the output is an empirical CDF rather than a histogram).
 """
 
 from __future__ import annotations

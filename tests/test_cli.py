@@ -140,7 +140,7 @@ class TestPredict:
 
     def test_prediction_matches_workspace_run(self, workspace):
         dist = read_prediction(workspace / "run" / "pred")
-        assert dist.n_samples_total == 200 * 20 * 200
+        assert dist.n_samples_total == 20
         assert dist.cdf_at_edges[-1] + dist.overflow_mass == pytest.approx(1.0, abs=1e-6)
 
     def test_mode_none_matches_closed_form(self, workspace, tmp_path):
@@ -204,6 +204,12 @@ class TestCompare:
         assert "distances omitted" in capsys.readouterr().err
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[6] == "" and cells[7] == ""
+
+    def test_nan_observation_is_usage_error(self, workspace, tmp_path, capsys):
+        code = main(["compare", "--prediction", str(workspace / "run" / "pred"),
+                     "--observed", "nan", "--output", str(tmp_path / "nan.csv")])
+        assert code == 1
+        assert "finite, non-negative" in capsys.readouterr().err
 
     def test_multiple_observations(self, workspace, tmp_path):
         out = tmp_path / "multi.csv"

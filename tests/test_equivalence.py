@@ -33,11 +33,11 @@ class TestQValue:
     def test_below_all_mass(self):
         dist = uniform_dist(10.0, 20.0)
         assert q_value(dist, 5.0) == 0.0
-        assert q_value(dist, -1.0) == 0.0
+        assert q_value(dist, 0.0) == 0.0
 
     def test_monotone_in_observed(self):
         dist = uniform_dist(0.0, 50.0)
-        obs = np.linspace(-5.0, 60.0, 100)
+        obs = np.linspace(0.0, 60.0, 100)
         values = [q_value(dist, x) for x in obs]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -62,6 +62,13 @@ class TestQValue:
         draws = dist.sample(500, rng)
         qs = np.array([q_value(dist, x) for x in draws])
         assert kstest(qs, "uniform").pvalue > 0.01
+
+
+@pytest.mark.parametrize("score", [q_value, p_value])
+@pytest.mark.parametrize("observed", [np.nan, np.inf, -np.inf, -1.0])
+def test_non_finite_or_negative_observation_refused(score, observed):
+    with pytest.raises(ValueError, match="finite, non-negative"):
+        score(uniform_dist(10.0, 20.0), observed)
 
 
 class TestPValue:

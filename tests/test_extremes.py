@@ -1,8 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from poretail import extremes
 from poretail.equivalence import ks_statistic
 from poretail.extremes import (
     CovarianceUnavailableError,
@@ -18,6 +21,7 @@ from poretail.extremes import (
 )
 from poretail.geometry import SpecimenDataset, make_pore_record, sphere_surface_area
 from poretail.gpd import GpdParams
+from poretail.synthetic import brute_force_fit_largest
 
 from conftest import synthetic_fit
 
@@ -178,6 +182,19 @@ class TestSampleLargest:
             assert ref.no_pore_mass == other.no_pore_mass
             assert ref.overflow_mass == other.overflow_mass
 
+    def test_independent_of_block_size(self, basic_fit, monkeypatch):
+        cfg = McConfig(seed=11, n_param_samples=300, uncertainty_mode="all")
+        voi = VolumeOfInterest(0.5)  # P(N = 0) about 0.6: fallback and tail
+        ref = sample_largest(basic_fit, voi, cfg)
+        monkeypatch.setattr(extremes, "_CHUNK_ELEMENTS", 7)
+        small = sample_largest(basic_fit, voi, cfg)
+        assert ref.bin_edges_um.tobytes() == small.bin_edges_um.tobytes()
+        assert ref.cdf_at_edges.tobytes() == small.cdf_at_edges.tobytes()
+        assert ref.pdf_mass.tobytes() == small.pdf_mass.tobytes()
+        assert ref.mean_um == small.mean_um
+        assert ref.no_pore_mass == small.no_pore_mass
+        assert ref.overflow_mass == small.overflow_mass
+
     def test_deterministic_given_seed(self, basic_fit):
         cfg = McConfig(seed=13, n_count_samples=40, n_param_samples=10,
                        n_p_samples=100, uncertainty_mode="poisson_only")
@@ -201,6 +218,30 @@ class TestSampleLargest:
         f_emp = np.searchsorted(emp, grid, side="right") / emp.size
         closed = np.exp(-3.0 * volume * (1.0 - f_emp))
         assert np.max(np.abs(dist.cdf_at_edges - closed)) < 0.01
+
+    def test_mode_none_zero_rate_uses_pinned_fallback(self):
+        # no tail pores expected: the pinned count of sub-threshold pores
+        # lam_below*V gives CDF(x) = F_emp(x) ** (lam_below*V)
+        fit = synthetic_fit(lam_above=0.0, lam_below=3.0, n_below=400, emp_seed=5)
+        volume = 2.0
+        cfg = McConfig(seed=23, uncertainty_mode="none")
+        dist = sample_largest(fit, VolumeOfInterest(volume), cfg)
+        emp = fit.empirical_below_um
+        grid = dist.bin_edges_um
+        f_emp = np.searchsorted(emp, grid[1:], side="right") / emp.size
+        assert grid[0] == emp[0]
+        assert np.max(np.abs(dist.cdf_at_edges[1:] - f_emp ** (3.0 * volume))) < 1e-12
+        assert dist.no_pore_mass == 0.0
+
+    def test_huge_volume_keeps_rate_uncertainty_finite(self, basic_fit, recwarn):
+        # a relative rate error of 3% barely moves the quantiles, however
+        # large a*se grows in the clamped-Gaussian Laplace transform
+        voi = VolumeOfInterest(1e12)
+        poisson = sample_largest(basic_fit, voi, McConfig(seed=1, uncertainty_mode="poisson_only"))
+        pinned = sample_largest(basic_fit, voi, McConfig(seed=1, uncertainty_mode="none"))
+        assert poisson.p50_um == pytest.approx(pinned.p50_um, rel=0.01)
+        assert poisson.p97_5_um == pytest.approx(pinned.p97_5_um, rel=0.01)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_degenerate_point_mass_at_no_pores(self):
         fit = synthetic_fit(lam_above=0.0, lam_below=0.0, n_below=0)
@@ -242,7 +283,39 @@ class TestSampleLargest:
         assert dist.provenance["seed"] == 19
         assert dist.provenance["volume_mm3"] == 5.0
         assert dist.provenance["fit_id"] == basic_fit.fit_id
-        assert dist.n_samples_total == 64
+        assert dist.n_samples_total == 1
+
+
+# 99.9% Dvoretzky-Kiefer-Wolfowitz band of the brute-force oracle
+ORACLE_REPLICATIONS = 200_000
+DKW_BAND = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * ORACLE_REPLICATIONS))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    scale=st.floats(1.0, 5.0),
+    shape=st.floats(-0.3, 0.5),
+    n_exceed=st.integers(5, 2000),
+    lam_above=st.floats(0.2, 5.0),
+    lam_v=st.floats(0.05, 20.0),
+)
+@example(scale=3.0, shape=0.3, n_exceed=50, lam_above=1.0, lam_v=0.2)  # P(N = 0) > 0.8
+@example(scale=2.0, shape=-0.3, n_exceed=5, lam_above=0.5, lam_v=0.5)  # clamped rate
+def test_poisson_only_cdf_inside_brute_force_band(scale, shape, n_exceed, lam_above, lam_v):
+    fit = synthetic_fit(scale=scale, shape=shape, n_exceed=n_exceed, lam_above=lam_above,
+                        lam_below=20.0, n_below=300, emp_seed=3)
+    volume = lam_v / lam_above
+    cfg = McConfig(seed=1, uncertainty_mode="poisson_only")
+    dist = sample_largest(fit, VolumeOfInterest(volume), cfg)
+    oracle = brute_force_fit_largest(fit, volume, ORACLE_REPLICATIONS, seed=7,
+                                     uncertainty_mode="poisson_only")
+    edges = dist.bin_edges_um
+    # the lowest edge carries the CDF's left limit (its own mass is in bin 0)
+    gap = max(
+        float(np.max(np.abs(dist.cdf_at_edges[1:] - oracle.cdf(edges[1:])))),
+        abs(dist.cdf_at_edges[0] - float(oracle.cdf_left(edges[0]))),
+    )
+    assert gap <= DKW_BAND
 
 
 class TestDistributionObject:
