@@ -6,7 +6,7 @@ into the distribution of the largest pore in a volume of interest, and
 quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .geometry import (
     IngestError,

@@ -64,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
-    config = configparser.ConfigParser()
+    config = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if path:
         target = Path(path)
         if not target.is_file():

@@ -252,21 +252,30 @@ class LargestPoreDistribution:
 
     @classmethod
     def from_masses(
+        cls, bin_edges_um, pdf_mass, *, no_pore_mass: float = 0.0, **kwargs
+    ) -> "LargestPoreDistribution":
+        """Build a distribution from bin masses; see from_cdf."""
+        pdf = np.asarray(pdf_mass, dtype=float)
+        cdf = np.concatenate([[no_pore_mass], no_pore_mass + np.cumsum(pdf)])
+        return cls.from_cdf(bin_edges_um, cdf, **kwargs)
+
+    @classmethod
+    def from_cdf(
         cls,
         bin_edges_um,
-        pdf_mass,
+        cdf_at_edges,
         *,
-        no_pore_mass: float = 0.0,
         overflow_mass: float = 0.0,
         mean_um: float | None = None,
         n_samples_total: int = 0,
         provenance: dict | None = None,
         flags: tuple[str, ...] = (),
     ) -> "LargestPoreDistribution":
-        """Build a distribution from bin masses (engine, tests, file IO)."""
+        """Build a distribution from the CDF at the bin edges, stored as given
+        (engine); the CDF at the lowest edge is the no-pore mass."""
         edges = np.asarray(bin_edges_um, dtype=float)
-        pdf = np.asarray(pdf_mass, dtype=float)
-        cdf = np.concatenate([[no_pore_mass], no_pore_mass + np.cumsum(pdf)])
+        cdf = np.asarray(cdf_at_edges, dtype=float)
+        pdf = np.diff(cdf)
         mids = 0.5 * (edges[:-1] + edges[1:])
         if mean_um is None:
             mean_um = float(pdf @ mids + overflow_mass * edges[-1])
@@ -274,7 +283,7 @@ class LargestPoreDistribution:
             bin_edges_um=edges,
             pdf_mass=pdf,
             cdf_at_edges=cdf,
-            no_pore_mass=float(no_pore_mass),
+            no_pore_mass=float(cdf[0]),
             overflow_mass=float(overflow_mass),
             mean_um=float(mean_um),
             p2_5_um=np.nan,
@@ -551,10 +560,9 @@ def sample_largest(
         flags.append(FLAG_EMPTY_FALLBACK)
         warnings.warn(FLAG_EMPTY_FALLBACK, stacklevel=2)
 
-    return LargestPoreDistribution.from_masses(
+    return LargestPoreDistribution.from_cdf(
         edges,
-        np.diff(at_edges),
-        no_pore_mass=no_pore_mass,
+        at_edges,
         overflow_mass=1.0 - float(at_edges[-1]),
         n_samples_total=sigma.size,
         provenance={

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize_scalar
 
 # Below this |shape| the exponential-limit formulas are used; continuity
 # across the switch is enforced by tests.
@@ -202,8 +202,9 @@ def _prepare_excess(exceedances, threshold_um: float, min_tail_count: int) -> np
     if np.any(x < threshold_um):
         raise FitError("exceedances must lie at or above the threshold")
     y = x - threshold_um
-    if np.var(y) == 0.0:
-        raise FitError("zero variance in exceedances; tail is degenerate")
+    # NaN and inf give a NaN variance
+    if not np.var(y) > 0.0:
+        raise FitError("exceedances need a finite, non-zero variance; tail is degenerate")
     return y
 
 
@@ -220,13 +221,14 @@ def gpd_nll(scale_um: float, shape: float, excess: np.ndarray) -> float:
     return n * np.log(scale_um) + (1.0 + 1.0 / shape) * float(np.log1p(z).sum())
 
 
-def _mom_point(y: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(y))
-    var = float(np.var(y, ddof=1))
-    ratio = mean * mean / var
-    shape = 0.5 * (1.0 - ratio)
-    scale = 0.5 * mean * (1.0 + ratio)
-    return scale, shape
+def _profile(w: float, ratio: np.ndarray) -> tuple[float, float]:
+    """Likelihood-maximizing (scale, shape) at theta = shape/scale = expm1(w)
+    for excesses scaled to a largest value of 1 (Grimshaw 1993)."""
+    t = float(np.expm1(w))
+    if t == 0.0:
+        return float(np.mean(ratio)), 0.0
+    shape = float(np.mean(np.log1p(t * ratio)))
+    return shape / t, shape
 
 
 def fit_mle(
@@ -237,41 +239,39 @@ def fit_mle(
 ) -> TailFit:
     """Maximum-likelihood fit of the tail above the threshold.
 
-    The likelihood is maximized over (log scale, shape) with a
-    derivative-free local search started from the MOM estimate and from
-    (log mean, 0); support violations act as a rejection barrier. The
-    asymptotic covariance is attached only when the fitted shape exceeds
-    -0.5; otherwise the fit is flagged and covariance is None.
+    The likelihood is maximized as a profile over theta = shape/scale
+    (Grimshaw 1993): for fixed theta the shape MLE is mean log1p(theta y),
+    scale = shape/theta, and theta = 0 is the exponential limit. Bounded
+    Brent searches theta where that shape lies in (-1, 20); if the
+    likelihood rises towards shape -1, the fit is the uniform limit (scale
+    = max y, shape = -1). Covariance is attached only when the fitted shape
+    exceeds -0.5; otherwise the fit is flagged and covariance is None.
     """
     y = _prepare_excess(exceedances, threshold_um, min_tail_count)
-    mean = float(np.mean(y))
+    # The search runs on the excesses scaled to a largest value of 1, in
+    # w = log1p(theta), so that theta * ratio stays above -1 after rounding.
+    y_max = float(y.max())
+    ratio = y / y_max
 
-    def objective(theta: np.ndarray) -> float:
-        log_scale, shape = theta
-        if not (-1.0 < shape < 20.0) or not (-700.0 < log_scale < 700.0):
-            return np.inf
-        return gpd_nll(np.exp(log_scale), shape, y)
+    def bracket_end(shape_bound: float, w_far: float) -> float:
+        # The profile shape rises with w from 0 at w = 0; w_far closes the
+        # bracket when the bound lies beyond it. brentq keeps its function in
+        # a reference cycle, so the data go in as an argument.
+        gap = lambda w, r: _profile(w, r)[1] - shape_bound
+        if gap(w_far, ratio) * gap(0.0, ratio) > 0.0:
+            return w_far
+        return brentq(gap, 0.0, w_far, args=(ratio,))
 
-    mom_scale, mom_shape = _mom_point(y)
-    starts = [
-        np.array([np.log(mom_scale), float(np.clip(mom_shape, -0.9, 10.0))]),
-        np.array([np.log(mean), 0.0]),
-    ]
-    best = None
-    diagnostics = []
-    for start in starts:
-        if not np.isfinite(objective(start)):
-            start = np.array([np.log(mean), 0.0])
-        result = minimize(objective, start, method="Nelder-Mead",
-                          options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-        diagnostics.append(f"start={start.tolist()} -> {result.message}")
-        if np.isfinite(result.fun) and (best is None or result.fun < best.fun):
-            best = result
-    if best is None or not np.isfinite(best.fun):
-        raise FitError("MLE optimizer did not converge: " + "; ".join(diagnostics))
-
-    scale = float(np.exp(best.x[0]))
-    shape = float(best.x[1])
+    # w = log(eps) keeps theta above -1 and w = 700 keeps it finite
+    bounds = (bracket_end(-1.0, float(np.log(np.finfo(float).eps))), bracket_end(20.0, 700.0))
+    best = minimize_scalar(lambda w: gpd_nll(*_profile(w, ratio), ratio), bounds=bounds,
+                           method="bounded", options={"xatol": 1e-10})
+    scale, shape = _profile(best.x, ratio)
+    # at shape = -1 the tail is uniform, most likely just above the largest excess
+    edge = (float(np.nextafter(1.0, 2.0)), -1.0)
+    if gpd_nll(*edge, ratio) < best.fun:
+        scale, shape = edge
+    scale *= y_max
     flags: tuple[str, ...] = ()
     covariance = None
     if shape > MLE_SHAPE_FLOOR:
@@ -301,7 +301,10 @@ def fit_mom(
     closed form. Covariance is attached only when shape < 0.25.
     """
     y = _prepare_excess(exceedances, threshold_um, min_tail_count)
-    scale, shape = _mom_point(y)
+    mean = float(np.mean(y))
+    ratio = mean * mean / float(np.var(y, ddof=1))
+    shape = 0.5 * (1.0 - ratio)
+    scale = 0.5 * mean * (1.0 + ratio)
     if not scale > 0:
         raise FitError(f"MOM produced non-positive scale {scale}")
     flags: tuple[str, ...] = ()
@@ -334,26 +337,15 @@ def select_estimator(
     otherwise returns the MOM fit when that lies inside the MOM domain;
     otherwise returns the MLE fit flagged as having no valid estimator.
     """
-    mle_error = None
-    try:
-        mle = fit_mle(exceedances, threshold_um, min_tail_count=min_tail_count)
-    except FitError as exc:
-        mle = None
-        mle_error = exc
-    if mle is not None and mle.params.shape > MLE_SHAPE_FLOOR:
+    mle = fit_mle(exceedances, threshold_um, min_tail_count=min_tail_count)
+    if mle.params.shape > MLE_SHAPE_FLOOR:
         return mle
-
     try:
         mom = fit_mom(exceedances, threshold_um, min_tail_count=min_tail_count)
-    except FitError as exc:
-        if mle is None:
-            raise FitError(f"both estimators failed: MLE ({mle_error}); MOM ({exc})")
+    except FitError:
         mom = None
     if mom is not None and mom.params.shape < MOM_SHAPE_CEIL:
         return mom
-    if mle is None:
-        assert mom is not None
-        return replace(mom, flags=mom.flags + (FLAG_NO_VALID_DOMAIN,))
     return replace(mle, flags=mle.flags + (FLAG_NO_VALID_DOMAIN,))
 
 

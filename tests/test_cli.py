@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +280,20 @@ class TestConfigFile:
         # same truth and seed, whichever way it was supplied
         strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
         assert strip(out) == strip(direct)
+
+    def test_readme_config_example_runs(self, workspace, tmp_path):
+        # the README's INI block verbatim, inline "; ..." comments included
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--input",
+                     str(workspace / "pores.csv"), "--out-dir", str(out)]) == 0
+        assert main(["predict", "--config", str(cfg), "--fit", str(out / "S1_fit.txt"),
+                     "--out-dir", str(out), "--tag", "pred"]) == 0
+        dist = read_prediction(out / "pred")
+        assert dist.provenance["uncertainty_mode"] == "all"
+        assert dist.provenance["volume_mm3"] == 100.0
 
     def test_missing_config_file_is_usage_error(self, workspace, tmp_path):
         code = main(["fit", "--config", str(tmp_path / "nope.ini"),

@@ -195,6 +195,26 @@ class TestSampleLargest:
         assert ref.no_pore_mass == small.no_pore_mass
         assert ref.overflow_mass == small.overflow_mass
 
+    def test_stores_the_engine_edge_cdf(self, basic_fit, monkeypatch):
+        # the CDF is kept as computed; rebuilding it from its differences
+        # rounds wherever it more than doubles between edges
+        computed = []
+        original = extremes._LargestCdf.__call__
+
+        def spy(self, d):
+            out = original(self, d)
+            computed.append((np.atleast_1d(d), out))
+            return out
+
+        monkeypatch.setattr(extremes._LargestCdf, "__call__", spy)
+        cfg = McConfig(seed=3, uncertainty_mode="none")
+        dist = sample_largest(basic_fit, VolumeOfInterest(100.0), cfg)
+        at_edges = next(out for d, out in computed if np.array_equal(d, dist.bin_edges_um))
+        expected = np.clip(at_edges, 0.0, 1.0)
+        expected[0] = dist.no_pore_mass
+        expected = np.maximum.accumulate(expected)
+        assert dist.cdf_at_edges.tobytes() == expected.tobytes()
+
     def test_deterministic_given_seed(self, basic_fit):
         cfg = McConfig(seed=13, n_count_samples=40, n_param_samples=10,
                        n_p_samples=100, uncertainty_mode="poisson_only")

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +170,61 @@ class TestMle:
         for fs, fx in factors:
             perturbed = gpd_nll(fit.params.scale_um * fs, fit.params.shape * fx, x)
             assert best <= perturbed + 1e-9
+
+    @pytest.mark.parametrize("shape", [-0.7, -0.3, 0.0, 0.1, 0.35, 0.9])
+    def test_no_worse_than_scipy_fit(self, shape):
+        # scipy's generic optimizer shares no code with the profile search
+        x = simulate(shape, 2000, 17, scale=2.0)
+        fit = fit_mle(x, 0.0)
+        c, _, scale = genpareto.fit(x, floc=0.0)
+        assert gpd_nll(fit.params.scale_um, fit.params.shape, x) <= gpd_nll(scale, c, x) + 1e-6
+
+    def test_exceedance_at_threshold(self):
+        x = np.concatenate([[5.0], simulate(0.2, 300, 29, threshold=5.0)])
+        fit = fit_mle(x, 5.0)
+        assert fit.params.shape == pytest.approx(fit_mle(x[1:], 5.0).params.shape, abs=0.05)
+        assert np.isfinite(gpd_nll(fit.params.scale_um, fit.params.shape, x - 5.0))
+
+    def test_uniform_tail_fits_the_shape_minus_one_edge(self):
+        # for uniform excesses the likelihood rises towards shape -1, where
+        # it peaks at scale = largest excess
+        x = np.random.default_rng(31).uniform(0.0, 2.0, 200)
+        fit = fit_mle(x, 0.0)
+        assert fit.params.shape == -1.0
+        assert fit.params.scale_um == pytest.approx(x.max(), rel=1e-12)
+        assert FLAG_MLE_DOMAIN in fit.flags and fit.covariance is None
+
+    def test_non_finite_exceedance_refused(self):
+        x = simulate(0.1, 100, 37)
+        x[5] = np.inf
+        with pytest.raises(FitError, match="finite"):
+            fit_mle(x, 0.0)
+
+    def test_no_array_left_in_reference_cycles(self):
+        # scipy's brentq keeps its function in a reference cycle; excesses
+        # held there would pile up between collections during a scan
+        x = simulate(0.1, 1000, 41)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            fit_mle(x, 0.0)
+            gc.collect()
+            held = [r for o in gc.garbage for r in gc.get_referents(o) if isinstance(r, np.ndarray)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert held == []
+
+    def test_likelihood_evaluations_bounded(self, monkeypatch):
+        import poretail.gpd as gpd_mod
+
+        calls = []
+        original = gpd_mod.gpd_nll
+        monkeypatch.setattr(gpd_mod, "gpd_nll", lambda *a: calls.append(1) or original(*a))
+        for n in (100, 10_000, 200_000):
+            calls.clear()
+            fit_mle(simulate(0.1, n, n), 0.0)
+            assert len(calls) <= 50, n
 
 
 class TestMom:
