@@ -11,13 +11,11 @@ __version__ = "0.2.1"
 from .geometry import (
     IngestError,
     GeometryError,
-    PoreRecord,
     SpecimenDataset,
     aspect_ratio,
     dump_specimen,
     equiv_diameter,
     ingest_specimen,
-    make_pore_record,
     sphericity,
 )
 from .gpd import (

@@ -1,10 +1,11 @@
 """Pore geometry metrics and specimen ingestion.
 
-Converts raw per-pore measurements (volume, surface area, Feret diameters)
-into the derived metrics used downstream: equivalent spherical diameter,
-aspect ratio and sphericity. A specimen is an immutable collection of pore
-records plus the scanned volume, kept sorted by equivalent diameter
-descending so that tail operations read a prefix.
+A specimen is its pore table held as columns: the cell text of the
+measured columns, kept so that a dump reproduces them byte for byte, and
+the metrics derived from them as arrays (equivalent spherical diameter,
+aspect ratio and sphericity). Every column is in canonical order,
+equivalent diameter descending, so that tail operations read a prefix.
+The metric functions accept a scalar or an array.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import repeat, zip_longest
 from pathlib import Path
-from typing import IO, Mapping
+from types import MappingProxyType
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -42,146 +44,196 @@ class IngestError(ValueError):
     """A pore table could not be ingested; names the offending row/column."""
 
 
-def equiv_diameter(volume: float) -> float:
-    """Diameter (um) of the sphere with the same volume (um^3)."""
-    if not volume > 0:
-        raise GeometryError(f"volume must be positive, got {volume}")
-    return (6.0 * volume / math.pi) ** (1.0 / 3.0)
+def _pow(base, exponent: float):
+    """base ** exponent per element, rounded like Python's float power.
 
-
-def aspect_ratio(min_feret: float, max_feret: float) -> float:
-    """Smallest over largest Feret diameter, in (0, 1]."""
-    if not min_feret > 0 or not max_feret > 0:
-        raise GeometryError(
-            f"Feret diameters must be positive, got ({min_feret}, {max_feret})"
-        )
-    if min_feret > max_feret:
-        raise GeometryError(
-            f"min_feret {min_feret} exceeds max_feret {max_feret}"
-        )
-    return min_feret / max_feret
-
-
-def sphericity(volume: float, surface_area: float) -> float:
-    """Surface-area ratio of the equal-volume sphere to the pore; 1 for a sphere."""
-    if not volume > 0:
-        raise GeometryError(f"volume must be positive, got {volume}")
-    if not surface_area > 0:
-        raise GeometryError(f"surface_area must be positive, got {surface_area}")
-    return math.pi ** (1.0 / 3.0) * (6.0 * volume) ** (2.0 / 3.0) / surface_area
-
-
-def sphere_surface_area(volume: float) -> float:
-    """Surface area (um^2) of the sphere with the given volume (um^3)."""
-    if not volume > 0:
-        raise GeometryError(f"volume must be positive, got {volume}")
-    return math.pi ** (1.0 / 3.0) * (6.0 * volume) ** (2.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class PoreRecord:
-    """One segmented pore: raw measurements plus derived metrics."""
-
-    pore_id: str
-    volume_um3: float
-    surface_area_um2: float
-    min_feret_um: float
-    max_feret_um: float
-    equiv_diameter_um: float
-    aspect_ratio: float
-    sphericity: float
-    centroid_um: tuple[float, float, float] | None = None
-    quality_flags: tuple[str, ...] = ()
-    # Original cell strings, kept so re-serialization is bit-exact.
-    raw: Mapping[str, str] | None = field(default=None, compare=False, repr=False)
-
-
-def make_pore_record(
-    pore_id: str,
-    volume_um3: float,
-    surface_area_um2: float,
-    min_feret_um: float,
-    max_feret_um: float,
-    centroid_um: tuple[float, float, float] | None = None,
-    raw: Mapping[str, str] | None = None,
-) -> PoreRecord:
-    """Build a record, computing derived metrics and data-quality flags.
-
-    Sphericity above 1 is physically impossible for a true surface but can
-    occur when the reported surface area underestimates the spherical
-    minimum (voxel effects); it is flagged, not rejected.
+    numpy's vectorised power can differ from the C library's pow in the
+    last bit; the C rounding keeps the derived columns equal to the scalar
+    formulas applied pore by pore.
     """
-    psi = sphericity(volume_um3, surface_area_um2)
-    flags: tuple[str, ...] = ()
-    if psi > 1.0:
-        flags = (FLAG_SPHERICITY_ABOVE_UNITY,)
-    return PoreRecord(
-        pore_id=str(pore_id),
-        volume_um3=volume_um3,
-        surface_area_um2=surface_area_um2,
-        min_feret_um=min_feret_um,
-        max_feret_um=max_feret_um,
-        equiv_diameter_um=equiv_diameter(volume_um3),
-        aspect_ratio=aspect_ratio(min_feret_um, max_feret_um),
-        sphericity=psi,
-        centroid_um=centroid_um,
-        quality_flags=flags,
-        raw=raw,
+    values = np.asarray(base, dtype=float)
+    out = np.fromiter(map(math.pow, values.ravel().tolist(), repeat(exponent)), float, values.size)
+    return out.reshape(values.shape) if values.ndim else float(out[0])
+
+
+def _positive(name: str, value) -> np.ndarray:
+    values = np.asarray(value, dtype=float)
+    bad = values[~(values > 0)]
+    if bad.size:
+        raise GeometryError(f"{name} must be positive, got {bad[0]}")
+    return values
+
+
+def _equiv_diameter(volume):
+    return _pow(6.0 * volume / math.pi, 1.0 / 3.0)
+
+
+def _sphere_surface_area(volume):
+    return math.pi ** (1.0 / 3.0) * _pow(6.0 * volume, 2.0 / 3.0)
+
+
+def equiv_diameter(volume):
+    """Diameter (um) of the sphere with the same volume (um^3)."""
+    return _equiv_diameter(_positive("volume", volume))
+
+
+def aspect_ratio(min_feret, max_feret):
+    """Smallest over largest Feret diameter, in (0, 1]."""
+    lo, hi = np.broadcast_arrays(_positive("min_feret", min_feret), _positive("max_feret", max_feret))
+    above = lo > hi
+    if np.any(above):
+        raise GeometryError(f"min_feret {lo[above][0]} exceeds max_feret {hi[above][0]}")
+    return lo / hi
+
+
+def sphericity(volume, surface_area):
+    """Surface-area ratio of the equal-volume sphere to the pore; 1 for a sphere."""
+    volume = _positive("volume", volume)
+    return _sphere_surface_area(volume) / _positive("surface_area", surface_area)
+
+
+def sphere_surface_area(volume):
+    """Surface area (um^2) of the sphere with the given volume (um^3)."""
+    return _sphere_surface_area(_positive("volume", volume))
+
+
+def _parse(column: str, cells: np.ndarray) -> np.ndarray:
+    """Float value of every cell; refuses the first unparsable one by row."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except (TypeError, ValueError):
+        for row, text in enumerate(cells):
+            try:
+                float(text)
+            except (TypeError, ValueError):
+                raise IngestError(
+                    f"row {row + 2}, column {column}: could not parse {text!r}"
+                ) from None
+        raise
+
+
+def _refuse_first(bad: np.ndarray, column: str, cells: np.ndarray, reason: str) -> None:
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise IngestError(f"row {rows[0] + 2}, column {column}: {reason}, got {cells[rows[0]]!r}")
+
+
+def _measurement(column: str, cells: np.ndarray) -> np.ndarray:
+    values = _parse(column, cells)
+    _refuse_first(
+        ~(np.isfinite(values) & (values > 0)), column, cells, "must be finite and positive"
     )
+    return values
 
 
-@dataclass(frozen=True)
+def _coordinate(column: str, cells: np.ndarray) -> np.ndarray:
+    """Parse a centroid column: NaN where blank, and finite elsewhere."""
+    blank = np.array([not cell for cell in cells], dtype=bool)
+    values = _parse(column, np.where(blank, "nan", cells))
+    _refuse_first(~blank & ~np.isfinite(values), column, cells, "must be finite")
+    return values
+
+
+def _first_repeat(values: Sequence[str]) -> int | None:
+    seen: set[str] = set()
+    for row, value in enumerate(values):
+        if value in seen:
+            return row
+        seen.add(value)
+    return None
+
+
+@dataclass(frozen=True, eq=False)
 class SpecimenDataset:
-    """A specimen's pore population plus scanned volume and metadata.
+    """A specimen's pore table, as columns, plus scanned volume and metadata.
 
-    Pores are stored sorted by equivalent diameter descending (canonical
-    order). Immutable after construction; safe for concurrent reads.
+    ``cells`` maps each measured column (REQUIRED_COLUMNS, plus
+    CENTROID_COLUMNS when all three are given) to its cell text, one entry
+    per pore; a table whose centroids are all incomplete keeps no centroid
+    columns. Construction checks each column once and raises IngestError,
+    naming the row (the first pore is row 2, below the header) and column,
+    for a scanned volume that is not finite and positive, a measurement
+    that does not parse to a finite positive number, a min Feret diameter
+    above the max, a non-empty centroid cell that is not a finite number,
+    or a repeated pore_id.
+
+    It then derives the arrays ``diameters_um``, ``aspect_ratios`` and
+    ``sphericities``, and ``centroid_um`` (n x 3, NaN where a pore's
+    centroid is incomplete; None without centroid columns). Every column,
+    text and arrays alike, is in canonical order: equivalent diameter
+    descending, ties in table order. ``quality_flags`` holds
+    FLAG_SPHERICITY_ABOVE_UNITY when some sphericity exceeds 1: the surface
+    area is below the spherical minimum (a voxel effect), which is flagged,
+    not refused. Immutable after construction, with read-only arrays; safe
+    for concurrent reads.
     """
 
     specimen_id: str
     geometry_label: str
     scan_velocity_mm_s: float
     scanned_volume_mm3: float
-    pores: tuple[PoreRecord, ...]
+    cells: Mapping[str, Sequence[str]]
     build_location_mm: tuple[float, float] | None = None
+    diameters_um: np.ndarray = field(init=False, repr=False)
+    aspect_ratios: np.ndarray = field(init=False, repr=False)
+    sphericities: np.ndarray = field(init=False, repr=False)
+    centroid_um: np.ndarray | None = field(init=False, repr=False)
+    quality_flags: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.scanned_volume_mm3 > 0:
-            raise ValueError(
-                f"scanned_volume_mm3 must be positive, got {self.scanned_volume_mm3}"
+        if not 0 < self.scanned_volume_mm3 < math.inf:
+            raise IngestError(
+                f"scanned_volume_mm3 must be finite and positive, got {self.scanned_volume_mm3}"
             )
-        ordered = tuple(
-            sorted(self.pores, key=lambda p: -p.equiv_diameter_um)
+        missing = [c for c in REQUIRED_COLUMNS if c not in self.cells]
+        if missing:
+            raise IngestError(f"missing column(s): {', '.join(missing)}")
+        columns = REQUIRED_COLUMNS
+        if all(c in self.cells for c in CENTROID_COLUMNS):
+            columns += CENTROID_COLUMNS
+        text = {c: np.array(self.cells[c], dtype=object) for c in columns}
+
+        volume, area, lo, hi = (_measurement(c, text[c]) for c in REQUIRED_COLUMNS[1:])
+        _refuse_first(lo > hi, "min_feret_um", text["min_feret_um"], "exceeds max_feret_um")
+        repeat_row = _first_repeat(text["pore_id"])
+        if repeat_row is not None:
+            raise IngestError(
+                f"row {repeat_row + 2}, column pore_id: repeats {text['pore_id'][repeat_row]!r}"
+            )
+
+        centroid = None
+        if CENTROID_COLUMNS[0] in text:
+            xyz = np.column_stack([_coordinate(c, text[c]) for c in CENTROID_COLUMNS])
+            incomplete = np.isnan(xyz).any(axis=1)
+            if incomplete.all():
+                for column in CENTROID_COLUMNS:
+                    del text[column]
+            else:
+                xyz[incomplete] = math.nan
+                centroid = xyz
+
+        diameters = _equiv_diameter(volume)
+        sphericities = _sphere_surface_area(volume) / area
+        order = np.argsort(-diameters, kind="stable")
+
+        def canonical(values: np.ndarray) -> np.ndarray:
+            values = values[order]
+            values.setflags(write=False)
+            return values
+
+        set_field = object.__setattr__
+        set_field(self, "cells", MappingProxyType({c: canonical(t) for c, t in text.items()}))
+        set_field(self, "diameters_um", canonical(diameters))
+        set_field(self, "aspect_ratios", canonical(lo / hi))
+        set_field(self, "sphericities", canonical(sphericities))
+        set_field(self, "centroid_um", None if centroid is None else canonical(centroid))
+        set_field(
+            self, "quality_flags",
+            (FLAG_SPHERICITY_ABOVE_UNITY,) if np.any(sphericities > 1.0) else (),
         )
-        object.__setattr__(self, "pores", ordered)
 
     def __len__(self) -> int:
-        return len(self.pores)
-
-    @cached_property
-    def diameters_um(self) -> np.ndarray:
-        """Equivalent diameters, descending (read-only view)."""
-        d = np.array([p.equiv_diameter_um for p in self.pores], dtype=float)
-        d.setflags(write=False)
-        return d
-
-
-def _parse_cell(row_label: str, column: str, text: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise IngestError(
-            f"{row_label}, column {column}: could not parse {text!r}"
-        ) from None
-
-
-def _parse_positive(row_label: str, column: str, text: str) -> float:
-    value = _parse_cell(row_label, column, text)
-    if not value > 0:
-        raise IngestError(
-            f"{row_label}, column {column}: must be positive, got {text!r}"
-        )
-    return value
+        return self.diameters_um.size
 
 
 def ingest_specimen(
@@ -196,12 +248,14 @@ def ingest_specimen(
     """Read a comma-separated pore table into a SpecimenDataset.
 
     The table must carry a header row with the columns in REQUIRED_COLUMNS;
-    the three centroid columns are optional. Every data row maps to exactly
-    one PoreRecord and the original cell strings are retained, so dumping
-    the dataset reproduces the raw measurement columns bit-exactly.
+    the three centroid columns are optional, and a row may leave its
+    centroid cells blank or out. Each data row is one pore. The measured
+    columns' cell text is kept, so dumping the dataset reproduces them
+    byte for byte; other columns are dropped.
 
-    Raises IngestError naming the row and column on the first malformed or
-    non-positive measurement.
+    Raises IngestError naming the row and column of a malformed cell (see
+    SpecimenDataset for the checks), or the row of one missing a required
+    cell.
     """
     if isinstance(pore_table, (str, Path)):
         with open(pore_table, "r", encoding="utf-8", newline="") as handle:
@@ -215,109 +269,50 @@ def ingest_specimen(
             )
 
     # Leading "# key=value" provenance comments are allowed and skipped;
-    # row numbers in error messages count the remaining lines, header first.
+    # row numbers in error messages count the remaining lines, header first,
+    # without blank lines.
     lines = (line for line in pore_table if not line.lstrip().startswith("#"))
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
         raise IngestError("empty file: no header row, no rows")
-    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
-    if missing:
-        raise IngestError(f"missing column(s): {', '.join(missing)}")
-    has_centroid = all(c in reader.fieldnames for c in CENTROID_COLUMNS)
-
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        label = f"row {line_no}"
-        if row.get("pore_id") is None:
-            raise IngestError(f"{label}: missing cells")
-        volume = _parse_positive(label, "volume_um3", row["volume_um3"])
-        area = _parse_positive(label, "surface_area_um2", row["surface_area_um2"])
-        fmin = _parse_positive(label, "min_feret_um", row["min_feret_um"])
-        fmax = _parse_positive(label, "max_feret_um", row["max_feret_um"])
-        if fmin > fmax:
-            raise IngestError(
-                f"{label}, column min_feret_um: exceeds max_feret_um "
-                f"({row['min_feret_um']} > {row['max_feret_um']})"
-            )
-        centroid = None
-        if has_centroid:
-            cells = [row[c] for c in CENTROID_COLUMNS]
-            if all(c not in (None, "") for c in cells):
-                centroid = tuple(
-                    _parse_cell(label, col, cell)
-                    for col, cell in zip(CENTROID_COLUMNS, cells)
-                )
-        records.append(
-            make_pore_record(
-                pore_id=row["pore_id"],
-                volume_um3=volume,
-                surface_area_um2=area,
-                min_feret_um=fmin,
-                max_feret_um=fmax,
-                centroid_um=centroid,
-                raw={k: row[k] for k in reader.fieldnames if row.get(k) is not None},
-            )
-        )
-
+    rows = [row for row in reader if row]
+    # One tuple per column, led by its header name; a short row's missing cells are None.
+    columns = {cells[0]: cells[1:] for cells in zip_longest(header, *rows)}
+    short = [columns[c].index(None) for c in REQUIRED_COLUMNS if None in columns.get(c, ())]
+    if short:
+        raise IngestError(f"row {min(short) + 2}: missing cells")
+    centroid = [columns[c] for c in CENTROID_COLUMNS if c in columns]
+    if len(centroid) == 3 and any(None in cells for cells in centroid):
+        # A row cut short inside the centroid columns has no centroid at all.
+        cut = [None in xyz for xyz in zip(*centroid)]
+        for c in CENTROID_COLUMNS:
+            columns[c] = ["" if drop else cell for drop, cell in zip(cut, columns[c])]
     return SpecimenDataset(
         specimen_id=specimen_id,
         geometry_label=geometry_label,
         scan_velocity_mm_s=scan_velocity_mm_s,
         scanned_volume_mm3=scanned_volume_mm3,
-        pores=tuple(records),
+        cells={c: columns[c] for c in REQUIRED_COLUMNS + CENTROID_COLUMNS if c in columns},
         build_location_mm=build_location_mm,
     )
 
 
-def _format_value(value: float) -> str:
-    return repr(float(value))
-
-
 def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
-    """Write the canonical dataset dump: raw columns plus derived columns.
+    """Write the canonical dataset dump: measured columns plus derived columns.
 
-    Raw measurement cells are emitted verbatim when the record was ingested
-    from a table; synthesized records fall back to shortest round-trip
-    float formatting. Rows appear in canonical (descending diameter) order.
+    The measured columns' cell text is written verbatim and the derived
+    columns in shortest round-trip float format, one row per pore in
+    canonical (descending diameter) order.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             dump_specimen(dataset, handle)
             return
 
-    with_centroid = any(p.centroid_um is not None for p in dataset.pores)
-    columns = list(REQUIRED_COLUMNS)
-    if with_centroid:
-        columns += list(CENTROID_COLUMNS)
-    columns += list(DERIVED_COLUMNS)
-
+    derived = (dataset.diameters_um, dataset.aspect_ratios, dataset.sphericities)
     writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(columns)
-    for pore in dataset.pores:
-        row = []
-        for col in REQUIRED_COLUMNS:
-            if pore.raw is not None and col in pore.raw:
-                row.append(pore.raw[col])
-            elif col == "pore_id":
-                row.append(pore.pore_id)
-            else:
-                attr = {
-                    "volume_um3": pore.volume_um3,
-                    "surface_area_um2": pore.surface_area_um2,
-                    "min_feret_um": pore.min_feret_um,
-                    "max_feret_um": pore.max_feret_um,
-                }[col]
-                row.append(_format_value(attr))
-        if with_centroid:
-            if pore.raw is not None and all(c in pore.raw for c in CENTROID_COLUMNS):
-                row += [pore.raw[c] for c in CENTROID_COLUMNS]
-            elif pore.centroid_um is not None:
-                row += [_format_value(v) for v in pore.centroid_um]
-            else:
-                row += ["", "", ""]
-        row += [
-            _format_value(pore.equiv_diameter_um),
-            _format_value(pore.aspect_ratio),
-            _format_value(pore.sphericity),
-        ]
-        writer.writerow(row)
+    writer.writerow([*dataset.cells, *DERIVED_COLUMNS])
+    writer.writerows(
+        zip(*(c.tolist() for c in dataset.cells.values()), *(map(repr, d.tolist()) for d in derived))
+    )

@@ -22,7 +22,7 @@ from scipy.stats import genpareto
 
 from .equivalence import EmpiricalCdf
 from .extremes import CovarianceUnavailableError
-from .geometry import SpecimenDataset, make_pore_record, sphere_surface_area
+from .geometry import SpecimenDataset, _pow, sphere_surface_area
 from .gpd import GpdParams, TailFit
 
 _CHUNK_PORE_DRAWS = 4_000_000
@@ -79,9 +79,9 @@ def generate_specimen(
     """Draw one specimen from ground truth.
 
     Tail and bulk counts are Poisson in the specimen volume; tail sizes are
-    scipy Generalized Pareto draws. Raw measurement columns are synthesized
-    to be geometrically consistent with spheres (aspect ratio and
-    sphericity of exactly 1).
+    scipy Generalized Pareto draws. The measured columns describe spheres
+    (aspect ratio and sphericity of exactly 1) in shortest round-trip float
+    text, so a dump re-ingests to the same values.
     """
     rng = np.random.default_rng(seed)
     volume = truth.specimen_volume_mm3
@@ -96,25 +96,24 @@ def generate_specimen(
     )
     bulk_sizes = _sample_bulk(rng, truth.bulk, truth.tail.threshold_um, n_bulk)
 
-    records = []
-    for prefix, sizes in (("t", np.atleast_1d(tail_sizes)), ("b", bulk_sizes)):
-        for i, diameter in enumerate(sizes):
-            pore_volume = np.pi / 6.0 * float(diameter) ** 3
-            records.append(
-                make_pore_record(
-                    pore_id=f"{prefix}{i:06d}",
-                    volume_um3=pore_volume,
-                    surface_area_um2=sphere_surface_area(pore_volume),
-                    min_feret_um=float(diameter),
-                    max_feret_um=float(diameter),
-                )
-            )
+    tail_sizes = np.atleast_1d(tail_sizes)
+    diameters = np.concatenate([tail_sizes, bulk_sizes])
+    volumes = np.pi / 6.0 * _pow(diameters, 3.0)
+    ids = [f"t{i:06d}" for i in range(tail_sizes.size)]
+    ids += [f"b{i:06d}" for i in range(bulk_sizes.size)]
+    feret = list(map(repr, diameters.tolist()))
     return SpecimenDataset(
         specimen_id=specimen_id or f"synthetic-{seed}",
         geometry_label=geometry_label,
         scan_velocity_mm_s=scan_velocity_mm_s,
         scanned_volume_mm3=volume,
-        pores=tuple(records),
+        cells={
+            "pore_id": ids,
+            "volume_um3": list(map(repr, volumes.tolist())),
+            "surface_area_um2": list(map(repr, sphere_surface_area(volumes).tolist())),
+            "min_feret_um": feret,
+            "max_feret_um": feret,
+        },
     )
 
 

@@ -77,6 +77,25 @@ class TestSimulateAndGeom:
         assert code == 2
         assert "no rows" in capsys.readouterr().err
 
+    def test_geom_infinite_cell_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "inf.csv"
+        table.write_text(
+            "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n"
+            "p1,15.625,30.0,2.5,5.0\np2,inf,30.0,2.5,5.0\n"
+        )
+        code = main(["geom", "--input", str(table), "--specimen-id", "X",
+                     "--scanned-volume", "10", "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "row 3, column volume_um3" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("volume", ["inf", "0", "nan"])
+    def test_geom_bad_scanned_volume_is_data_error(self, workspace, tmp_path, capsys, volume):
+        code = main(["geom", "--input", str(workspace / "pores.csv"), "--specimen-id", "X",
+                     "--scanned-volume", volume, "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "scanned_volume_mm3" in capsys.readouterr().err
+
     def test_unresolvable_path_is_usage_error(self, tmp_path):
         code = main(["geom", "--input", str(tmp_path / "nope.csv"),
                      "--specimen-id", "X", "--scanned-volume", "10",

@@ -19,7 +19,7 @@ from poretail.extremes import (
     sample_largest,
     volume_sweep,
 )
-from poretail.geometry import SpecimenDataset, make_pore_record, sphere_surface_area
+from poretail.geometry import SpecimenDataset, sphere_surface_area
 from poretail.gpd import GpdParams
 from poretail.synthetic import brute_force_fit_largest
 
@@ -93,19 +93,22 @@ class TestClosedForms:
 
 
 def make_dataset(diameters, volume=100.0):
-    records = [
-        make_pore_record(
-            f"p{i}",
-            np.pi / 6.0 * d**3,
-            sphere_surface_area(np.pi / 6.0 * d**3),
-            d,
-            d,
-        )
-        for i, d in enumerate(diameters)
-    ]
+    d = np.asarray(diameters, dtype=float)
+    v = np.pi / 6.0 * d**3
+
+    def text(values):
+        return [repr(x) for x in values.tolist()]
+
     return SpecimenDataset(
         specimen_id="S", geometry_label="", scan_velocity_mm_s=0.0,
-        scanned_volume_mm3=volume, pores=tuple(records),
+        scanned_volume_mm3=volume,
+        cells={
+            "pore_id": [f"p{i}" for i in range(d.size)],
+            "volume_um3": text(v),
+            "surface_area_um2": text(sphere_surface_area(v)),
+            "min_feret_um": text(d),
+            "max_feret_um": text(d),
+        },
     )
 
 

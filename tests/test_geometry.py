@@ -3,18 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from poretail.geometry import (
+    CENTROID_COLUMNS,
     FLAG_SPHERICITY_ABOVE_UNITY,
     GeometryError,
     IngestError,
+    REQUIRED_COLUMNS,
     SpecimenDataset,
     aspect_ratio,
     dump_specimen,
     equiv_diameter,
     ingest_specimen,
-    make_pore_record,
     sphere_surface_area,
     sphericity,
 )
@@ -115,16 +116,15 @@ class TestIngest:
     def test_well_formed(self):
         ds = make_dataset()
         assert len(ds) == 3
-        for pore in ds.pores:
-            assert pore.equiv_diameter_um > 0
-            assert 0 < pore.aspect_ratio <= 1
-            assert pore.sphericity > 0
+        assert np.all(ds.diameters_um > 0)
+        assert np.all((ds.aspect_ratios > 0) & (ds.aspect_ratios <= 1))
+        assert np.all(ds.sphericities > 0)
 
     def test_sorted_descending(self):
         ds = make_dataset()
         d = ds.diameters_um
         assert np.all(np.diff(d) <= 0)
-        assert ds.pores[0].pore_id == "p1"
+        assert ds.cells["pore_id"][0] == "p1"
 
     def test_empty_table_valid(self):
         ds = make_dataset("pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n")
@@ -158,9 +158,8 @@ class TestIngest:
         # surface area below the spherical minimum for this volume
         text = WELL_FORMED.replace("31415.927", "20000.0")
         ds = make_dataset(text)
-        flagged = [p for p in ds.pores if p.pore_id == "p1"]
-        assert flagged[0].sphericity > 1.0
-        assert FLAG_SPHERICITY_ABOVE_UNITY in flagged[0].quality_flags
+        assert ds.sphericities[ds.cells["pore_id"] == "p1"] > 1.0
+        assert FLAG_SPHERICITY_ABOVE_UNITY in ds.quality_flags
 
     def test_centroid_columns_optional(self):
         text = (
@@ -169,7 +168,7 @@ class TestIngest:
             "p1,15.625,30.0,2.5,5.0,1.0,2.0,3.0\n"
         )
         ds = make_dataset(text)
-        assert ds.pores[0].centroid_um == (1.0, 2.0, 3.0)
+        assert ds.centroid_um.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_provenance_comments_skipped(self):
         ds = make_dataset("# seed=5\n# config_sha256=abc\n" + WELL_FORMED)
@@ -178,6 +177,33 @@ class TestIngest:
     def test_nonpositive_scanned_volume_rejected(self):
         with pytest.raises(ValueError, match="scanned_volume"):
             make_dataset(scanned_volume_mm3=0.0)
+
+
+class TestIngestRefusals:
+    def test_infinite_measurement_names_row_and_column(self):
+        text = WELL_FORMED.replace("4188.79", "inf")
+        with pytest.raises(IngestError, match=r"row 4, column volume_um3: must be finite"):
+            make_dataset(text)
+
+    def test_infinite_centroid_names_row_and_column(self):
+        text = (
+            "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um,"
+            "centroid_x_um,centroid_y_um,centroid_z_um\n"
+            "p1,15.625,30.0,2.5,5.0,1.0,2.0,3.0\n"
+            "p2,15.625,30.0,2.5,5.0,1.0,-inf,\n"
+        )
+        with pytest.raises(IngestError, match=r"row 3, column centroid_y_um: must be finite"):
+            make_dataset(text)
+
+    def test_repeated_pore_id_names_second_row(self):
+        text = WELL_FORMED.replace("p3", "p1")
+        with pytest.raises(IngestError, match=r"row 4, column pore_id: repeats 'p1'"):
+            make_dataset(text)
+
+    @pytest.mark.parametrize("volume", [math.inf, 0.0, math.nan])
+    def test_scanned_volume_must_be_finite_and_positive(self, volume):
+        with pytest.raises(IngestError, match="scanned_volume_mm3"):
+            make_dataset(scanned_volume_mm3=volume)
 
 
 class TestDump:
@@ -211,12 +237,118 @@ class TestDump:
         out = io.StringIO()
         dump_specimen(ds, out)
         again = make_dataset(out.getvalue())
-        assert [p.pore_id for p in again.pores] == [p.pore_id for p in ds.pores]
+        assert list(again.cells["pore_id"]) == list(ds.cells["pore_id"])
         assert np.array_equal(again.diameters_um, ds.diameters_um)
 
 
 def test_synthesized_record_sphere_consistency():
-    rec = make_pore_record("x", 523598.776, sphere_surface_area(523598.776), 100.0, 100.0)
-    assert rec.sphericity == pytest.approx(1.0, rel=1e-12)
-    assert rec.aspect_ratio == 1.0
-    assert rec.quality_flags == ()
+    volume = 523598.776
+    ds = SpecimenDataset(
+        specimen_id="S", geometry_label="", scan_velocity_mm_s=0.0, scanned_volume_mm3=1.0,
+        cells={"pore_id": ["x"], "volume_um3": [repr(volume)],
+               "surface_area_um2": [repr(sphere_surface_area(volume))],
+               "min_feret_um": ["100.0"], "max_feret_um": ["100.0"]},
+    )
+    assert ds.sphericities[0] == pytest.approx(1.0, rel=1e-12)
+    assert ds.aspect_ratios[0] == 1.0
+    assert ds.quality_flags == ()
+
+
+class TestArrayMetrics:
+    """The dataset's metric columns are the scalar formulas applied pore by pore."""
+
+    def test_columns_equal_scalar_formulas(self):
+        rng = np.random.default_rng(4)
+        n = 2000
+        volume = np.exp(rng.uniform(0.0, 25.0, n))
+        area = sphere_surface_area(volume) * rng.uniform(0.9, 3.0, n)
+        lo, hi = np.sort(rng.uniform(0.5, 500.0, (2, n)), axis=0)
+        rows = "".join(
+            f"p{i},{v!r},{a!r},{f!r},{g!r}\n"
+            for i, (v, a, f, g) in enumerate(zip(volume.tolist(), area.tolist(), lo.tolist(), hi.tolist()))
+        )
+        ds = make_dataset(",".join(REQUIRED_COLUMNS) + "\n" + rows)
+        cells = ds.cells
+        for i in range(n):
+            v, a = float(cells["volume_um3"][i]), float(cells["surface_area_um2"][i])
+            f, g = float(cells["min_feret_um"][i]), float(cells["max_feret_um"][i])
+            assert ds.diameters_um[i] == equiv_diameter(v)
+            assert ds.aspect_ratios[i] == aspect_ratio(f, g)
+            assert ds.sphericities[i] == sphericity(v, a)
+        # the array forms of the public functions agree with the scalar forms
+        assert np.array_equal(equiv_diameter(volume), [equiv_diameter(v) for v in volume.tolist()])
+        assert np.array_equal(
+            sphere_surface_area(volume), [sphere_surface_area(v) for v in volume.tolist()]
+        )
+
+    @pytest.mark.parametrize("call", [
+        lambda bad: equiv_diameter(bad),
+        lambda bad: sphere_surface_area(bad),
+        lambda bad: sphericity(bad, np.ones(3)),
+        lambda bad: sphericity(np.ones(3), bad),
+        lambda bad: aspect_ratio(bad, np.full(3, 2.0)),
+        lambda bad: aspect_ratio(np.full(3, 0.5), bad),
+    ])
+    @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan])
+    def test_array_with_one_nonpositive_entry_refused(self, call, entry):
+        with pytest.raises(GeometryError):
+            call(np.array([1.0, entry, 1.5]))
+
+    def test_array_ordering_violation_refused(self):
+        with pytest.raises(GeometryError, match="exceeds"):
+            aspect_ratio(np.array([1.0, 3.0]), np.array([2.0, 2.0]))
+
+
+@st.composite
+def number_text(draw, signed=False):
+    """A number as a pore table may spell it: 0.10, 15.625, 1e3, 2.50E-1."""
+    digits = draw(st.integers(1, 99999))
+    point = draw(st.integers(0, 4))
+    text = str(digits).rjust(point + 1, "0")
+    if point:
+        text = f"{text[:-point]}.{text[-point:]}"
+        if draw(st.booleans()):
+            text += "0"
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + str(draw(st.integers(-3, 3)))
+    if signed and draw(st.booleans()):
+        text = "-" + text
+    return text
+
+
+@st.composite
+def pore_tables(draw):
+    """Rows of measured cells (volumes from a small pool, so diameters tie)."""
+    n = draw(st.integers(0, 12))
+    volumes = draw(st.lists(number_text(), min_size=1, max_size=3))
+    centroid = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        fmin, fmax = sorted(draw(st.lists(number_text(), min_size=2, max_size=2)), key=float)
+        row = [f"q{i}", draw(st.sampled_from(volumes)), draw(number_text()), fmin, fmax]
+        if centroid:
+            row += [draw(st.one_of(st.just(""), number_text(signed=True))) for _ in range(3)]
+        rows.append(row)
+    return REQUIRED_COLUMNS + (CENTROID_COLUMNS if centroid else ()), rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table=pore_tables())
+def test_ingest_dump_ingest_round_trip(table):
+    header, rows = table
+    text = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+    first = make_dataset(text)
+    out = io.StringIO()
+    dump_specimen(first, out)
+    again = make_dataset(out.getvalue())
+
+    # canonical order: a stable sort by descending diameter, ties in table order
+    diameters = [equiv_diameter(float(row[1])) for row in rows]
+    order = sorted(range(len(rows)), key=lambda i: -diameters[i])
+    kept = len(header) if any(all(row[5:]) for row in rows) else len(REQUIRED_COLUMNS)
+    expected = {c: [rows[i][j] for i in order] for j, c in enumerate(header[:kept])}
+    for ds in (first, again):
+        assert {c: list(cells) for c, cells in ds.cells.items()} == expected
+    assert out.getvalue().splitlines()[0].split(",")[:kept] == list(header[:kept])
+    assert again.diameters_um.tobytes() == first.diameters_um.tobytes()
+    assert again.diameters_um.tolist() == [diameters[i] for i in order]

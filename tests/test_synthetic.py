@@ -78,10 +78,9 @@ class TestGenerateSpecimen:
 
     def test_geometry_columns_sphere_consistent(self):
         ds = generate_specimen(make_truth(), 3)
-        for pore in ds.pores[:20]:
-            assert pore.sphericity == pytest.approx(1.0, rel=1e-9)
-            assert pore.aspect_ratio == 1.0
-            assert pore.quality_flags == ()
+        assert np.allclose(ds.sphericities, 1.0, rtol=1e-9, atol=0)
+        assert np.all(ds.aspect_ratios == 1.0)
+        assert ds.quality_flags == ()
 
     def test_bulk_below_threshold(self):
         truth = make_truth(lam_above=0.5, lam_below=50.0)
