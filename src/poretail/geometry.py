@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import repeat, zip_longest
+from itertools import dropwhile, repeat, zip_longest
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Mapping, Sequence
@@ -254,8 +254,8 @@ def ingest_specimen(
     byte for byte; other columns are dropped.
 
     Raises IngestError naming the row and column of a malformed cell (see
-    SpecimenDataset for the checks), or the row of one missing a required
-    cell.
+    SpecimenDataset for the checks), the row of one missing a required
+    cell, or a measured column that the header names more than once.
     """
     if isinstance(pore_table, (str, Path)):
         with open(pore_table, "r", encoding="utf-8", newline="") as handle:
@@ -268,14 +268,17 @@ def ingest_specimen(
                 build_location_mm=build_location_mm,
             )
 
-    # Leading "# key=value" provenance comments are allowed and skipped;
-    # row numbers in error messages count the remaining lines, header first,
-    # without blank lines.
-    lines = (line for line in pore_table if not line.lstrip().startswith("#"))
+    # Leading "# key=value" provenance comments are allowed and skipped; below
+    # the header every line is data. Row numbers in error messages count the
+    # remaining lines, header first, without blank lines.
+    lines = dropwhile(lambda line: line.lstrip().startswith("#"), pore_table)
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
         raise IngestError("empty file: no header row, no rows")
+    repeated = [c for c in REQUIRED_COLUMNS + CENTROID_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise IngestError(f"header: column {repeated[0]} appears more than once")
     rows = [row for row in reader if row]
     # One tuple per column, led by its header name; a short row's missing cells are None.
     columns = {cells[0]: cells[1:] for cells in zip_longest(header, *rows)}

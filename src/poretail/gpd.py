@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 # Below this |shape| the exponential-limit formulas are used; continuity
 # across the switch is enforced by tests.
@@ -247,6 +246,9 @@ def fit_mle(
     = max y, shape = -1). Covariance is attached only when the fitted shape
     exceeds -0.5; otherwise the fit is flagged and covariance is None.
     """
+    # imported here so that `import poretail` does not load scipy.optimize
+    from scipy.optimize import brentq, minimize_scalar
+
     y = _prepare_excess(exceedances, threshold_um, min_tail_count)
     # The search runs on the excesses scaled to a largest value of 1, in
     # w = log1p(theta), so that theta * ratio stays above -1 after rounding.

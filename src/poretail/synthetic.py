@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import genpareto
 
 from .equivalence import EmpiricalCdf
 from .extremes import CovarianceUnavailableError
@@ -83,6 +82,9 @@ def generate_specimen(
     (aspect ratio and sphericity of exactly 1) in shortest round-trip float
     text, so a dump re-ingests to the same values.
     """
+    # imported here so that `import poretail` does not load scipy.stats
+    from scipy.stats import genpareto
+
     rng = np.random.default_rng(seed)
     volume = truth.specimen_volume_mm3
     n_tail = int(rng.poisson(truth.lambda_above_per_mm3 * volume))
@@ -135,6 +137,8 @@ def brute_force_largest(
     (scipy draws) and records the maximum; replications with no tail pores
     fall back to the bulk, and 0 is recorded when no pores at all occur.
     """
+    from scipy.stats import genpareto
+
     rng = np.random.default_rng(seed)
     maxima = np.zeros(n_replications)
     tail_counts = rng.poisson(truth.lambda_above_per_mm3 * voi_mm3, n_replications)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import poretail
 from poretail.cli import main
 from poretail.reports import read_fit_report, read_prediction, write_fit_report
 
@@ -87,6 +89,18 @@ class TestSimulateAndGeom:
                      "--scanned-volume", "10", "--output", str(tmp_path / "o.csv")])
         assert code == 2
         assert "row 3, column volume_um3" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_geom_repeated_column_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "twice.csv"
+        table.write_text(
+            "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um,volume_um3\n"
+            "p1,15.625,30.0,2.5,5.0,1000\n"
+        )
+        code = main(["geom", "--input", str(table), "--specimen-id", "X",
+                     "--scanned-volume", "10", "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "column volume_um3 appears more than once" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("volume", ["inf", "0", "nan"])
@@ -343,3 +357,30 @@ class TestReportRoundTrips:
         )
         assert proc.returncode == 0
         assert "poretail" in proc.stdout
+
+
+STARTUP_PROBE = """
+import sys
+import numpy as np
+import poretail, poretail.cli
+
+def loaded():
+    return [m in sys.modules for m in ("scipy.optimize", "scipy.stats")]
+
+print(loaded())
+poretail.fit_mle(20.0 + np.random.default_rng(1).exponential(3.0, 100), 20.0)
+print(loaded())
+poretail.generate_specimen(poretail.GroundTruth(
+    poretail.GpdParams(20.0, 3.0, 0.1), 10.0, 40.0, 5.0, poretail.BulkModel(2.0, 0.5)), seed=1)
+print(loaded())
+"""
+
+
+def test_heavy_scipy_subpackages_load_only_where_used():
+    # every CLI command is a fresh interpreter that pays for what `import poretail` loads
+    src = str(Path(poretail.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["[False, False]", "[True, False]", "[True, True]"]

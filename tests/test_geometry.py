@@ -174,6 +174,16 @@ class TestIngest:
         ds = make_dataset("# seed=5\n# config_sha256=abc\n" + WELL_FORMED)
         assert len(ds) == 3
 
+    def test_hash_row_below_header_is_data(self):
+        text = WELL_FORMED.replace("p2,", "#p2,")
+        ds = make_dataset("# seed=5\n" + text)
+        assert sorted(ds.cells["pore_id"]) == ["#p2", "p1", "p3"]
+        out = io.StringIO()
+        dump_specimen(ds, out)
+        again = make_dataset(out.getvalue())
+        assert list(again.cells["pore_id"]) == list(ds.cells["pore_id"])
+        assert np.array_equal(again.diameters_um, ds.diameters_um)
+
     def test_nonpositive_scanned_volume_rejected(self):
         with pytest.raises(ValueError, match="scanned_volume"):
             make_dataset(scanned_volume_mm3=0.0)
@@ -199,6 +209,19 @@ class TestIngestRefusals:
         text = WELL_FORMED.replace("p3", "p1")
         with pytest.raises(IngestError, match=r"row 4, column pore_id: repeats 'p1'"):
             make_dataset(text)
+
+    @pytest.mark.parametrize("column", ["volume_um3", "pore_id", "centroid_y_um"])
+    def test_repeated_measured_column_named(self, column):
+        header, *rows = WELL_FORMED.splitlines()
+        centroid = ",".join(CENTROID_COLUMNS)
+        text = "\n".join([f"{header},{centroid},{column}"] + [f"{r},1,2,3,7" for r in rows])
+        with pytest.raises(IngestError, match=f"header: column {column} appears more than once"):
+            make_dataset(text)
+
+    def test_repeated_unmeasured_column_ignored(self):
+        header, *rows = WELL_FORMED.splitlines()
+        ds = make_dataset("\n".join([f"{header},note,note"] + [f"{r},a,b" for r in rows]))
+        assert set(ds.cells) == set(REQUIRED_COLUMNS)
 
     @pytest.mark.parametrize("volume", [math.inf, 0.0, math.nan])
     def test_scanned_volume_must_be_finite_and_positive(self, volume):
