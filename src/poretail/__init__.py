@@ -1,12 +1,12 @@
 """poretail: peaks-over-threshold statistics for AM porosity data.
 
 Fits Generalized Pareto upper tails to pore-size populations, propagates
-count uncertainty (exactly) and parameter uncertainty (by Monte Carlo)
-into the distribution of the largest pore in a volume of interest, and
-quantifies porosity equivalence between specimens.
+count uncertainty (exactly) and parameter uncertainty (by an adaptive
+Gauss-Hermite rule) into the distribution of the largest pore in a volume
+of interest, and quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .geometry import (
     IngestError,

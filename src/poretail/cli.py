@@ -1,9 +1,10 @@
 """Batch command-line surface: geom, fit, predict, compare, sweep, simulate.
 
-Commands compose via files only. Every stochastic command requires a seed,
-and every stochastic output embeds the seed, a hash of the effective
-configuration and the toolkit version, so re-running with the embedded
-values reproduces the output byte-identically.
+Commands compose via files only. simulate, predict and sweep require a
+seed, and their outputs embed it, a hash of the effective configuration
+and the toolkit version, so re-running with the embedded values
+reproduces the output byte-identically. predict and sweep are
+deterministic: their values do not depend on the seed, which they echo.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 statistical precondition
 failure.
@@ -141,7 +142,7 @@ def _ingest_from_args(args, config) -> "SpecimenDataset":
 def _mc_config(args, config) -> McConfig:
     seed = _option(args.seed, config, "mc", "seed", int)
     if seed is None:
-        raise CliUsageError("a seed is mandatory for stochastic commands (--seed)")
+        raise CliUsageError("a seed is mandatory for predict and sweep (--seed), which echo it")
     return McConfig(
         seed=int(seed),
         n_count_samples=_option(args.count_samples, config, "mc", "count_samples", int, 1000),
@@ -423,12 +424,13 @@ def cmd_simulate(args) -> int:
 
 
 def _add_mc_flags(parser) -> None:
-    parser.add_argument("--seed", type=int, help="random seed (mandatory)")
+    parser.add_argument("--seed", type=int,
+                        help="mandatory and echoed; the result does not depend on it")
     parser.add_argument("--mode", choices=("none", "poisson_only", "all"))
     parser.add_argument("--count-samples", type=int, dest="count_samples",
                         help="accepted and ignored: the count axis is exact")
     parser.add_argument("--param-samples", type=int, dest="param_samples",
-                        help="Monte Carlo (scale, shape) draws in mode all")
+                        help="accepted and ignored: (scale, shape) uses an adaptive rule")
     parser.add_argument("--p-samples", type=int, dest="p_samples",
                         help="accepted and ignored: the probability axis is exact")
     parser.add_argument("--bins", type=int)

@@ -5,10 +5,11 @@ Poisson exceedance-rate model, and the engine that propagates count and
 parameter uncertainty into the distribution of the largest equivalent
 diameter. The Poisson count (with its clamped-Gaussian rate) and the
 uniform-probability axis have closed forms, so the engine evaluates the
-largest-pore CDF exactly at the histogram edges and averages it over
-Monte Carlo (scale, shape) draws, the only axis it samples. The draws are
-processed in blocks of bounded size, and the result does not depend on
-the block size.
+largest-pore CDF exactly at the histogram edges and integrates it over
+(scale, shape) with a tensor Gauss-Hermite rule on the fit's bivariate
+normal, doubling the nodes until two rules agree; their difference is
+reported as the CDF's precision. The nodes are processed in blocks of
+bounded size, and the result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from scipy.special import erfcx, log_ndtr
 
 from .geometry import SpecimenDataset
 from .gpd import (
-    FitError,
     GpdParams,
     MIN_TAIL_COUNT,
     TailFit,
@@ -34,23 +34,33 @@ from .gpd import (
 
 UNCERTAINTY_MODES = ("none", "poisson_only", "all")
 
-# Seed-stream tag of the (scale, shape) draws; the value keeps the draws of
-# earlier versions.
-_TAG_PARAM = 2
-_PARAM_REJECTION_ROUNDS = 100
+# Gauss-Hermite nodes per (scale, shape) axis: the top edge is found with
+# the first rule, which doubles at the edges until the largest difference
+# between successive rules is at most _RULE_TOLERANCE, or the cap is reached.
+_START_NODES = 8
+_MAX_NODES = 64
+_RULE_TOLERANCE = 1e-4
+# Besides the edges, the rules are compared at excesses log-spaced over
+# twelve decades below the top edge's, so that a CDF that rises inside the
+# first bin (a heavy tail under linear edges) is compared too.
+_PROBE_FRACTIONS = np.geomspace(1e-12, 1.0, 128)
 
 # Probability mass the histogram leaves beyond its top edge; an empty-record
 # no-pore atom lighter than this is not flagged either.
 _UNRESOLVED_MASS = 1e-5
 # Bisection narrows the top edge to 2**-40 of its bracket, far inside a bin.
 _BISECTION_STEPS = 40
-# Elements per block of (scale, shape) draws x diameters: bounds the engine's
+# Elements per block of (scale, shape) nodes x diameters: bounds the engine's
 # temporaries at about 512 kB each.
 _CHUNK_ELEMENTS = 1 << 16
 
 FLAG_EMPTY_FALLBACK = "zero exceedance count possible with empty sub-threshold record"
 FLAG_NO_EXCEEDANCES = "no pores above threshold"
 FLAG_DEGENERATE_RANGE = "degenerate histogram range: CDF at its target at the lowest edge or nowhere"
+FLAG_RULE_UNCONVERGED = (
+    f"(scale, shape) rule unconverged: {_MAX_NODES} and {_MAX_NODES // 2} nodes per axis "
+    f"differ by more than {_RULE_TOLERANCE:g}"
+)
 
 
 class CovarianceUnavailableError(RuntimeError):
@@ -70,15 +80,17 @@ class VolumeOfInterest:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan of the largest-pore engine.
+    """Plan of the largest-pore engine.
 
     uncertainty_mode selects what is propagated: "none" pins the count at
     rate*volume and the parameters at their point estimates,
     "poisson_only" integrates over the count but pins the parameters, and
-    "all" integrates over both, with n_param_samples Monte Carlo (scale,
-    shape) draws. The count and probability axes are integrated exactly, so
-    n_count_samples and n_p_samples are accepted, validated and echoed in
-    the provenance, but ignored; total_samples is the nominal product.
+    "all" integrates over both, (scale, shape) with an adaptive
+    Gauss-Hermite rule. The count and probability axes are integrated
+    exactly and the rule chooses its own size, so the result depends on
+    histogram_bins and uncertainty_mode only: seed, n_count_samples,
+    n_param_samples and n_p_samples are accepted, validated and echoed in
+    the provenance, but ignored; total_samples is their nominal product.
     """
 
     seed: int
@@ -122,10 +134,10 @@ class RateEstimates:
 def estimate_rates(dataset: SpecimenDataset, threshold_um: float) -> RateEstimates:
     """Poisson rate estimates on each side of the threshold.
 
-    The rate is the pore count divided by the scanned volume; its variance
-    is rate/count (zero by convention when no pores were observed, which is
-    flagged because uncertainty propagation then degenerates to the
-    sub-threshold fallback only).
+    The rate is the pore count divided by the scanned volume, and its
+    Poisson standard error is sqrt(count)/volume (zero by convention when
+    no pores were observed, which is flagged because uncertainty
+    propagation then degenerates to the sub-threshold fallback only).
     """
     d = dataset.diameters_um
     volume = dataset.scanned_volume_mm3
@@ -133,9 +145,9 @@ def estimate_rates(dataset: SpecimenDataset, threshold_um: float) -> RateEstimat
     n_below = int(d.size - n_above)
 
     def one(count: int) -> RateEstimate:
-        rate = count / volume
-        se = float(np.sqrt(rate / count)) if count > 0 else 0.0
-        return RateEstimate(rate_per_mm3=rate, se=se, count=count)
+        return RateEstimate(
+            rate_per_mm3=count / volume, se=float(np.sqrt(count)) / volume, count=count
+        )
 
     flags: tuple[str, ...] = ()
     if n_above == 0:
@@ -213,8 +225,11 @@ class LargestPoreDistribution:
     edge, and summary statistics. The mean is that of the histogram: bin
     masses at their midpoints, the overflow mass at the top edge and "no
     pores" at 0, so it stays finite when the tail's own mean does not exist
-    (shape >= 1). n_samples_total is the number of (scale, shape) points
-    the engine integrated over.
+    (shape >= 1). n_samples_total is the number of (scale, shape) nodes
+    the engine integrated over, nodes_per_axis the size of its rule, and
+    cdf_precision the largest difference between the CDFs of that rule and
+    the one with half the nodes per axis, at the edges and at log-spaced
+    diameters below the top edge (0 when the parameters are pinned).
     """
 
     bin_edges_um: np.ndarray
@@ -229,6 +244,8 @@ class LargestPoreDistribution:
     n_samples_total: int
     provenance: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
+    cdf_precision: float = 0.0
+    nodes_per_axis: int = 1
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.bin_edges_um, dtype=float)
@@ -270,6 +287,8 @@ class LargestPoreDistribution:
         n_samples_total: int = 0,
         provenance: dict | None = None,
         flags: tuple[str, ...] = (),
+        cdf_precision: float = 0.0,
+        nodes_per_axis: int = 1,
     ) -> "LargestPoreDistribution":
         """Build a distribution from the CDF at the bin edges, stored as given
         (engine); the CDF at the lowest edge is the no-pore mass."""
@@ -292,6 +311,8 @@ class LargestPoreDistribution:
             n_samples_total=n_samples_total,
             provenance=provenance or {},
             flags=flags,
+            cdf_precision=float(cdf_precision),
+            nodes_per_axis=nodes_per_axis,
         )
         object.__setattr__(dist, "p2_5_um", dist.quantile(0.025))
         object.__setattr__(dist, "p50_um", dist.quantile(0.5))
@@ -364,36 +385,31 @@ class LargestPoreDistribution:
             "p97_5_um": self.p97_5_um,
             "no_pore_mass": self.no_pore_mass,
             "overflow_mass": self.overflow_mass,
+            "cdf_precision": self.cdf_precision,
+            "nodes_per_axis": self.nodes_per_axis,
         }
 
 
-def _stream(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
+def _param_rule(fit: TailFit, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scale, shape, weight) nodes of an n x n Gauss-Hermite rule on the
+    fit's bivariate normal, mapped through the Cholesky factor of its
+    covariance. Nodes with a non-positive scale are dropped and the kept
+    weights renormalised to sum to 1.
+    """
+    from numpy.polynomial.hermite_e import hermegauss
 
-
-def _draw_param_samples(
-    fit: TailFit, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bivariate-normal (scale, shape) draws; non-positive scales are redrawn."""
     if fit.covariance is None:
         raise CovarianceUnavailableError(
             "fit covariance unavailable (estimate outside asymptotic-normality "
             "domain); full uncertainty propagation refuses to run"
         )
+    z, w = hermegauss(n)
+    grid = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
     mean = np.array([fit.params.scale_um, fit.params.shape])
-    chol = np.linalg.cholesky(fit.covariance)
-    draws = mean + rng.standard_normal((n, 2)) @ chol.T
-    for _ in range(_PARAM_REJECTION_ROUNDS):
-        bad = draws[:, 0] <= 0.0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            break
-        draws[bad] = mean + rng.standard_normal((n_bad, 2)) @ chol.T
-    else:
-        raise FitError(
-            f"could not draw positive scales in {_PARAM_REJECTION_ROUNDS} rounds"
-        )
-    return draws[:, 0].copy(), draws[:, 1].copy()
+    nodes = mean + grid @ np.linalg.cholesky(fit.covariance).T
+    keep = nodes[:, 0] > 0.0
+    weights = np.outer(w, w).ravel()[keep]
+    return nodes[keep, 0].copy(), nodes[keep, 1].copy(), weights / weights.sum()
 
 
 def _log_laplace_rate(a, lam: float, se: float) -> np.ndarray:
@@ -420,19 +436,27 @@ class _LargestCdf:
 
     Above the threshold u, with S the tail survival function and R the
     clamped-Gaussian rate, P(max <= d | scale, shape) = E exp(-R V S(d)) in
-    closed form (no tail pore, N = 0, included), and the CDF is its mean
-    over the (scale, shape) points. Below u only volumes without tail pores
-    contribute, their largest pore being the largest of a Poisson(lam_b V)
-    resample of the sub-threshold record: P(N = 0) exp(-lam_b V (1 - F_emp(d))).
+    closed form (no tail pore, N = 0, included), and the CDF is its
+    weighted mean over the (scale, shape) nodes: the point estimate, or in
+    mode "all" the n x n rule of _param_rule, n = nodes_per_axis. Below u
+    only volumes without tail pores contribute, their largest pore being
+    the largest of a Poisson(lam_b V) resample of the sub-threshold record:
+    P(N = 0) exp(-lam_b V (1 - F_emp(d))).
     Mode "none" pins the count at lam V instead, giving F(d) ** (lam V), or,
     when lam V = 0, the pinned sub-threshold fallback F_emp(d) ** (lam_b V).
     An empty sub-threshold record counts as F_emp = 1 (no pore at all).
     """
 
-    def __init__(self, fit: TailFit, volume: float, mode: str, sigma, xi) -> None:
+    def __init__(self, fit: TailFit, volume: float, mode: str, nodes_per_axis: int) -> None:
+        self.fit = fit
         self.threshold = fit.params.threshold_um
-        self.sigma = sigma
-        self.xi = xi
+        self.nodes_per_axis = nodes_per_axis
+        if mode == "all":
+            self.sigma, self.xi, self.weights = _param_rule(fit, nodes_per_axis)
+        else:
+            self.sigma = np.array([fit.params.scale_um])
+            self.xi = np.array([fit.params.shape])
+            self.weights = np.ones(1)
         self.volume = volume
         self.mode = mode
         self.lam = fit.lambda_above_per_mm3
@@ -478,9 +502,9 @@ class _LargestCdf:
                 self.threshold, self.sigma[block, None], self.xi[block, None], d
             )
             # row by row, so that the sum does not depend on the block size
-            for row in self._given_params(log_s):
-                total += row
-        return total / self.sigma.size
+            for w, row in zip(self.weights[block], self._given_params(log_s)):
+                total += w * row
+        return total
 
 
 def _top_edge(cdf: _LargestCdf, lo: float, start: float) -> float | None:
@@ -507,6 +531,22 @@ def _top_edge(cdf: _LargestCdf, lo: float, start: float) -> float | None:
     return above
 
 
+def _refine(cdf: _LargestCdf, edges: np.ndarray) -> tuple[_LargestCdf, np.ndarray, float]:
+    """Double the rule's nodes per axis until the CDFs of two successive
+    rules differ by at most _RULE_TOLERANCE at the edges and the probe
+    excesses, or the finer rule has _MAX_NODES per axis. Returns the finer
+    rule, its CDF at the edges and that largest difference."""
+    at = np.concatenate([edges, cdf.threshold + (edges[-1] - cdf.threshold) * _PROBE_FRACTIONS])
+    coarse = cdf(at)
+    while True:
+        cdf = _LargestCdf(cdf.fit, cdf.volume, cdf.mode, 2 * cdf.nodes_per_axis)
+        fine = cdf(at)
+        gap = float(np.max(np.abs(fine - coarse)))
+        if gap <= _RULE_TOLERANCE or cdf.nodes_per_axis >= _MAX_NODES:
+            return cdf, fine[: edges.size], gap
+        coarse = fine
+
+
 def sample_largest(
     fit: TailFit,
     voi: VolumeOfInterest,
@@ -517,28 +557,26 @@ def sample_largest(
     """Largest-pore distribution for a volume of interest.
 
     Exceedance counts are Poisson with the rate drawn from its Gaussian
-    estimate (clamped at zero); (scale, shape) pairs come from the
-    estimator's asymptotic bivariate normal. Volumes without tail pores
-    fall back to the sub-threshold empirical distribution, and volumes
-    without any pore make up the "no pores" mass at diameter 0. The count
-    and probability axes are integrated exactly at the histogram edges
-    (see _LargestCdf); only the n_param_samples (scale, shape) draws of mode
-    "all" are Monte Carlo. The top edge is where the CDF reaches 1 - 1e-5.
+    estimate (clamped at zero); (scale, shape) follow the estimator's
+    asymptotic bivariate normal. Volumes without tail pores fall back to
+    the sub-threshold empirical distribution, and volumes without any pore
+    make up the "no pores" mass at diameter 0. The count and probability
+    axes are integrated exactly at the histogram edges (see _LargestCdf).
+    In mode "all", (scale, shape) is integrated with a tensor Gauss-Hermite
+    rule: the top edge, where the CDF reaches 1 - 1e-5, is found with 8
+    nodes per axis, and at the edges the nodes double while two successive
+    rules differ by more than 1e-4, up to 64 per axis. The finer rule's CDF
+    is reported, their difference as cdf_precision, and a rule still
+    unconverged at the cap is flagged.
 
-    `workers` is accepted and ignored: the result is the same for any value.
+    The result is deterministic. `workers`, the seed and the sample counts
+    of `config` are accepted and ignored.
     """
     if fit.lambda_above_per_mm3 is None or fit.lambda_below_per_mm3 is None:
         raise ValueError("fit lacks rate estimates; build it with fit_tail()")
     mode = config.uncertainty_mode
     volume = voi.volume_mm3
-    if mode == "all":
-        sigma, xi = _draw_param_samples(
-            fit, config.n_param_samples, _stream(config.seed, _TAG_PARAM)
-        )
-    else:
-        sigma = np.array([fit.params.scale_um])
-        xi = np.array([fit.params.shape])
-    cdf = _LargestCdf(fit, volume, mode, sigma, xi)
+    cdf = _LargestCdf(fit, volume, mode, _START_NODES if mode == "all" else 1)
     flags: list[str] = []
 
     lo = fit.params.threshold_um
@@ -550,10 +588,17 @@ def sample_largest(
         flags.append(FLAG_DEGENERATE_RANGE)
     edges = np.linspace(lo, hi, config.histogram_bins + 1)
 
+    if mode == "all":
+        cdf, at_edges, precision = _refine(cdf, edges)
+        if not precision <= _RULE_TOLERANCE:
+            flags.append(FLAG_RULE_UNCONVERGED)
+    else:
+        at_edges, precision = cdf(edges), 0.0
+
     # diameters are positive, so the CDF at 0 is the no-pore atom; the
     # lowest edge's own mass goes to the first bin
     no_pore_mass = float(cdf(0.0)[0])
-    at_edges = np.clip(cdf(edges), 0.0, 1.0)
+    at_edges = np.clip(at_edges, 0.0, 1.0)
     at_edges[0] = no_pore_mass
     at_edges = np.maximum.accumulate(at_edges)
     if cdf.emp.size == 0 and no_pore_mass >= _UNRESOLVED_MASS:
@@ -564,7 +609,7 @@ def sample_largest(
         edges,
         at_edges,
         overflow_mass=1.0 - float(at_edges[-1]),
-        n_samples_total=sigma.size,
+        n_samples_total=cdf.sigma.size,
         provenance={
             "fit_id": fit.fit_id,
             "volume_mm3": volume,
@@ -576,6 +621,8 @@ def sample_largest(
             "seed": config.seed,
         },
         flags=tuple(flags),
+        cdf_precision=precision,
+        nodes_per_axis=cdf.nodes_per_axis,
     )
 
 
@@ -600,9 +647,9 @@ def volume_sweep(
 ) -> list[VolumePoint]:
     """Largest-pore summaries over an ascending ladder of volumes.
 
-    Every volume uses the same (scale, shape) draws (common random numbers),
-    so a single-volume sweep reproduces sample_largest exactly. `workers`
-    is accepted and ignored.
+    Every volume starts from the same (scale, shape) nodes and refines
+    them on its own, so a single-volume sweep reproduces sample_largest
+    exactly. `workers` is accepted and ignored.
     """
     vols = list(volumes_mm3)
     if not vols:

@@ -268,10 +268,10 @@ def ingest_specimen(
                 build_location_mm=build_location_mm,
             )
 
-    # Leading "# key=value" provenance comments are allowed and skipped; below
-    # the header every line is data. Row numbers in error messages count the
-    # remaining lines, header first, without blank lines.
-    lines = dropwhile(lambda line: line.lstrip().startswith("#"), pore_table)
+    # Leading "# key=value" provenance comments and blank lines are allowed
+    # and skipped; below the header every line is data. Row numbers in error
+    # messages count the remaining lines, header first, without blank lines.
+    lines = dropwhile(lambda line: not line.strip() or line.lstrip().startswith("#"), pore_table)
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:

@@ -201,6 +201,8 @@ def write_prediction(
         ("no_pore_mass", dist.no_pore_mass),
         ("overflow_mass", dist.overflow_mass),
         ("n_samples_total", dist.n_samples_total),
+        ("nodes_per_axis", dist.nodes_per_axis),
+        ("cdf_precision", dist.cdf_precision),
         ("dist_flags", "|".join(dist.flags)),
     ]
     with open(summary_path, "w", encoding="utf-8") as handle:
@@ -252,6 +254,8 @@ def read_prediction(prefix: str | Path) -> LargestPoreDistribution:
                 if key in summary
             },
             flags=tuple(f for f in summary.get("dist_flags", "").split("|") if f),
+            cdf_precision=float(summary.get("cdf_precision", 0.0)),
+            nodes_per_axis=int(summary.get("nodes_per_axis", 1)),
         )
     except (KeyError, ValueError) as exc:
         raise ReportParseError(f"{summary_path}: {exc}") from exc

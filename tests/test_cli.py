@@ -8,7 +8,7 @@ import pytest
 
 import poretail
 from poretail.cli import main
-from poretail.reports import read_fit_report, read_prediction, write_fit_report
+from poretail.reports import read_fit_report, read_prediction, write_fit_report, write_prediction
 
 from conftest import synthetic_fit
 
@@ -174,7 +174,8 @@ class TestPredict:
 
     def test_prediction_matches_workspace_run(self, workspace):
         dist = read_prediction(workspace / "run" / "pred")
-        assert dist.n_samples_total == 20
+        assert (dist.nodes_per_axis, dist.n_samples_total) == (16, 256)
+        assert dist.cdf_precision <= 1e-4
         assert dist.cdf_at_edges[-1] + dist.overflow_mass == pytest.approx(1.0, abs=1e-6)
 
     def test_mode_none_matches_closed_form(self, workspace, tmp_path):
@@ -193,6 +194,24 @@ class TestPredict:
             pt.largest_cdf_closed(fit.params, count, dist.bin_edges_um)
         )
         assert np.max(np.abs(dist.cdf_at_edges - closed)) < 0.01
+
+    def test_seed_and_param_samples_leave_values_unchanged(self, workspace, tmp_path):
+        fit = str(workspace / "run" / "syn_fit.txt")
+
+        def values(path):
+            # everything but the echoed seed, sample counts and config hash
+            echoed = ("seed", "n_param_samples", "config_sha256")
+            return [line for line in path.read_text().splitlines()
+                    if not line.lstrip("# ").startswith(echoed)]
+
+        for seed, samples in (("1", "20"), ("2", "999")):
+            common = ["--fit", fit, "--seed", seed, "--mode", "all", "--param-samples", samples]
+            assert main(["predict", *common, "--volume", "100",
+                         "--out-dir", str(tmp_path / seed), "--tag", "p"]) == 0
+            assert main(["sweep", *common, "--volumes", "25,100",
+                         "--output", str(tmp_path / seed / "sweep.csv")]) == 0
+        for name in ("p_cdf.csv", "p_summary.txt", "sweep.csv"):
+            assert values(tmp_path / "1" / name) == values(tmp_path / "2" / name)
 
     def test_seed_mandatory(self, workspace, tmp_path):
         code = main(["predict", "--fit", str(workspace / "run" / "syn_fit.txt"),
@@ -347,6 +366,22 @@ class TestReportRoundTrips:
         assert back.lambda_above_per_mm3 == fit.lambda_above_per_mm3
         assert np.array_equal(back.empirical_below_um, fit.empirical_below_um)
 
+    def test_prediction_round_trip(self, tmp_path):
+        import poretail as pt
+
+        # the heavy-tail probe: unconverged rule, dropped nodes, nonzero precision
+        fit = synthetic_fit(shape=0.9, n_exceed=30)
+        dist = pt.sample_largest(fit, pt.VolumeOfInterest(100.0),
+                                 pt.McConfig(seed=1, histogram_bins=64))
+        write_prediction(dist, tmp_path / "pred")
+        back = read_prediction(tmp_path / "pred")
+        assert back.cdf_precision == dist.cdf_precision > 0.0
+        assert back.nodes_per_axis == dist.nodes_per_axis == 64
+        assert back.n_samples_total == dist.n_samples_total
+        assert back.flags == dist.flags
+        assert back.summary() == dist.summary()
+        assert back.cdf_at_edges.tobytes() == dist.cdf_at_edges.tobytes()
+
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 1
 
@@ -357,6 +392,13 @@ class TestReportRoundTrips:
         )
         assert proc.returncode == 0
         assert "poretail" in proc.stdout
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == poretail.__version__
 
 
 STARTUP_PROBE = """

@@ -118,7 +118,7 @@ class TestRates:
         d = np.concatenate([rng.uniform(30, 60, 200), rng.uniform(1, 20, 300)])
         rates = estimate_rates(make_dataset(d, volume=100.0), 25.0)
         assert rates.above.rate_per_mm3 == pytest.approx(2.0)
-        assert rates.above.se**2 == pytest.approx(0.01)
+        assert rates.above.se**2 == pytest.approx(0.02)
         assert rates.below.rate_per_mm3 == pytest.approx(3.0)
 
     def test_conservation_exact(self):
@@ -135,6 +135,27 @@ class TestRates:
         rates = estimate_rates(make_dataset([1.0, 2.0]), 10.0)
         assert rates.above.rate_per_mm3 == 0.0
         assert rates.flags
+
+
+def test_volume_unit_does_not_change_predictions():
+    # restating every volume in a unit 1000 times smaller rescales each rate
+    # and its standard error alike: rate x volume and the predictions stay
+    k = 1000.0
+    rng = np.random.default_rng(4)
+    d = np.concatenate([20.0 + rng.exponential(3.0, 400), rng.uniform(2.0, 20.0, 1600)])
+    base = fit_tail(make_dataset(d, volume=200.0), 20.0)
+    scaled = fit_tail(make_dataset(d, volume=200.0 * k), 20.0)
+    for key in ("lambda_above_per_mm3", "lambda_above_se", "lambda_below_per_mm3", "lambda_below_se"):
+        assert getattr(scaled, key) * 200.0 * k == pytest.approx(getattr(base, key) * 200.0, rel=1e-9)
+    for mode in ("poisson_only", "all"):
+        cfg = McConfig(seed=1, uncertainty_mode=mode)
+        pairs = list(zip(volume_sweep(base, [2.0, 100.0], cfg),
+                         volume_sweep(scaled, [2.0 * k, 100.0 * k], cfg)))
+        pairs.append((sample_largest(base, VolumeOfInterest(50.0), cfg),
+                      sample_largest(scaled, VolumeOfInterest(50.0 * k), cfg)))
+        for one, other in pairs:
+            for key in ("mean_um", "p2_5_um", "p50_um", "p97_5_um"):
+                assert getattr(other, key) == pytest.approx(getattr(one, key), rel=1e-9)
 
 
 class TestFitTail:
@@ -307,6 +328,83 @@ class TestSampleLargest:
         assert dist.provenance["volume_mm3"] == 5.0
         assert dist.provenance["fit_id"] == basic_fit.fit_id
         assert dist.n_samples_total == 1
+
+
+def fine_rule_cdf(fit, volume, d, nodes=96):
+    """Mode-"all" largest-pore CDF at diameters d above the threshold, from a
+    nodes x nodes Gauss-Hermite rule over (scale, shape) written here: scipy's
+    nodes, mapped through the covariance's symmetric square root, truncated
+    to positive scales; nodes lighter than 1e-18 of the heaviest are left
+    out. For each node, the clamped-Gaussian Poisson count
+    gives Phi(-lam/s) + exp(-a lam + (a s)^2 / 2) Phi(lam/s - a s), a = V S(d).
+    """
+    from scipy.special import log_ndtr, roots_hermitenorm
+
+    z, w = roots_hermitenorm(nodes)
+    values, vectors = np.linalg.eigh(fit.covariance)
+    root = vectors @ np.diag(np.sqrt(values)) @ vectors.T
+    grid = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+    scale, shape = (np.array([fit.params.scale_um, fit.params.shape]) + grid @ root).T
+    weight = np.outer(w, w).ravel()
+    keep = (scale > 0.0) & (weight > 1e-18 * weight.max())
+    scale, shape, weight = scale[keep, None], shape[keep, None], weight[keep] / weight[keep].sum()
+    lam, s = fit.lambda_above_per_mm3, fit.lambda_above_se
+
+    def cdf(d):
+        y = (d - fit.params.threshold_um) / scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_s = np.where(1.0 + shape * y > 0.0, -np.log1p(shape * y) / shape, -np.inf)
+        a = volume * np.exp(log_s)
+        inner = -a * lam + 0.5 * (a * s) ** 2 + log_ndtr(lam / s - a * s)
+        return weight @ np.exp(np.logaddexp(log_ndtr(-lam / s), inner))
+
+    d = np.asarray(d, dtype=float)
+    return np.concatenate([cdf(part) for part in np.array_split(d, -(-d.size // 64))])
+
+
+class TestParameterRule:
+    def test_negative_shape_large_volume_matches_fine_rule(self):
+        # 1000 Monte Carlo draws were 0.019 from the fine rule here
+        fit = synthetic_fit(shape=-0.25, n_exceed=300)
+        dist = sample_largest(fit, VolumeOfInterest(1e4), McConfig(seed=1, uncertainty_mode="all"))
+        above = dist.bin_edges_um >= fit.params.threshold_um
+        edges = dist.bin_edges_um[above]
+        gap = np.max(np.abs(dist.cdf_at_edges[above] - fine_rule_cdf(fit, 1e4, edges)))
+        assert gap <= max(dist.cdf_precision, 1e-4)
+        assert extremes.FLAG_RULE_UNCONVERGED not in dist.flags
+
+    def test_precision_bounds_error_on_readme_like_fit(self):
+        fit = synthetic_fit(lam_above=10.0, n_exceed=2000)
+        dist = sample_largest(fit, VolumeOfInterest(100.0), McConfig(seed=1, uncertainty_mode="all"))
+        above = dist.bin_edges_um >= fit.params.threshold_um
+        edges = dist.bin_edges_um[above]
+        gap = np.max(np.abs(dist.cdf_at_edges[above] - fine_rule_cdf(fit, 100.0, edges)))
+        assert 0.0 < dist.cdf_precision <= 1e-4
+        assert gap <= dist.cdf_precision
+        assert dist.n_samples_total == dist.nodes_per_axis**2
+
+    def test_heavy_tail_flags_the_node_cap(self):
+        fit = synthetic_fit(shape=0.9, n_exceed=30)
+        dist = sample_largest(fit, VolumeOfInterest(100.0), McConfig(seed=1, uncertainty_mode="all"))
+        assert extremes.FLAG_RULE_UNCONVERGED in dist.flags
+        assert dist.nodes_per_axis == 64
+        assert dist.cdf_precision > 1e-4
+        # nodes with a non-positive scale are dropped
+        assert dist.n_samples_total < 64**2
+
+    @pytest.mark.parametrize("mode", ["none", "poisson_only"])
+    def test_pinned_parameters_are_one_exact_node(self, basic_fit, mode):
+        dist = sample_largest(basic_fit, VolumeOfInterest(5.0), McConfig(seed=1, uncertainty_mode=mode))
+        assert (dist.n_samples_total, dist.nodes_per_axis, dist.cdf_precision) == (1, 1, 0.0)
+
+    def test_seed_and_sample_counts_do_not_matter(self, basic_fit):
+        voi = VolumeOfInterest(3.0)
+        one = sample_largest(basic_fit, voi, McConfig(seed=1, uncertainty_mode="all"))
+        two = sample_largest(basic_fit, voi, McConfig(seed=2, n_count_samples=5, n_param_samples=7,
+                                                      n_p_samples=9, uncertainty_mode="all"))
+        assert one.cdf_at_edges.tobytes() == two.cdf_at_edges.tobytes()
+        assert one.bin_edges_um.tobytes() == two.bin_edges_um.tobytes()
+        assert one.summary() == two.summary()
 
 
 # 99.9% Dvoretzky-Kiefer-Wolfowitz band of the brute-force oracle

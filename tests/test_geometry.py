@@ -184,6 +184,12 @@ class TestIngest:
         assert list(again.cells["pore_id"]) == list(ds.cells["pore_id"])
         assert np.array_equal(again.diameters_um, ds.diameters_um)
 
+    @pytest.mark.parametrize("lead", ["\n", "# seed=5\n\n"])
+    def test_blank_lines_before_header_skipped(self, lead):
+        header, row = WELL_FORMED.splitlines()[:2]
+        ds = make_dataset(lead + header + "\n" + row + "\n")
+        assert list(ds.cells["pore_id"]) == ["p1"]
+
     def test_nonpositive_scanned_volume_rejected(self):
         with pytest.raises(ValueError, match="scanned_volume"):
             make_dataset(scanned_volume_mm3=0.0)
