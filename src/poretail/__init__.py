@@ -49,14 +49,12 @@ from .extremes import (
     estimate_rates,
     fit_tail,
     largest_cdf_closed,
-    largest_quantile_closed,
     sample_largest,
     volume_sweep,
 )
 from .equivalence import (
     EmpiricalCdf,
     EquivalenceReport,
-    FunctionCdf,
     build_report,
     ks_statistic,
     location_scatter,

@@ -223,7 +223,7 @@ def cmd_fit(args) -> int:
     write_table(
         out_dir / f"{tag}_qq.csv",
         ("theoretical_um", "sample_um"),
-        qq_points(fit, exceed),
+        qq_points(fit, exceed).tolist(),
         provenance,
     )
     se_sigma = f"{fit.scale_se:.6g}" if fit.scale_se is not None else "n/a"
@@ -367,6 +367,9 @@ def cmd_sweep(args) -> int:
         provenance=_stamp(mc.seed, options),
     )
     print(f"sweep: {len(points)} volume(s) -> {args.output}")
+    for p in points:
+        if p.flags:
+            print(f"sweep flags at {p.volume_mm3:g} mm3: " + "; ".join(p.flags))
     return EXIT_OK
 
 

@@ -628,7 +628,7 @@ def sample_largest(
 
 @dataclass(frozen=True)
 class VolumePoint:
-    """Largest-pore summary at one volume of a sweep."""
+    """Largest-pore summary at one volume of a sweep, with its CDF's precision and flags."""
 
     volume_mm3: float
     mean_um: float
@@ -636,6 +636,9 @@ class VolumePoint:
     p50_um: float
     p97_5_um: float
     no_pore_mass: float
+    cdf_precision: float
+    nodes_per_axis: int
+    flags: tuple[str, ...]
 
 
 def volume_sweep(
@@ -669,6 +672,9 @@ def volume_sweep(
                 p50_um=dist.p50_um,
                 p97_5_um=dist.p97_5_um,
                 no_pore_mass=dist.no_pore_mass,
+                cdf_precision=dist.cdf_precision,
+                nodes_per_axis=dist.nodes_per_axis,
+                flags=dist.flags,
             )
         )
     return points

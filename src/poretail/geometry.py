@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import dropwhile, repeat, zip_longest
+from itertools import dropwhile, repeat
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Mapping, Sequence
@@ -34,6 +35,10 @@ CENTROID_COLUMNS = ("centroid_x_um", "centroid_y_um", "centroid_z_um")
 DERIVED_COLUMNS = ("equiv_diameter_um", "aspect_ratio", "sphericity")
 
 FLAG_SPHERICITY_ABOVE_UNITY = "sphericity above 1 (surface area below spherical minimum)"
+
+# Characters that make csv's minimal quoting quote a cell. A lone "\r" is
+# among them, so that a dump re-ingests.
+_QUOTE_CHARS = (",", '"', "\r", "\n")
 
 
 class GeometryError(ValueError):
@@ -135,6 +140,8 @@ def _coordinate(column: str, cells: np.ndarray) -> np.ndarray:
 
 
 def _first_repeat(values: Sequence[str]) -> int | None:
+    if len(set(values)) == len(values):
+        return None
     seen: set[str] = set()
     for row, value in enumerate(values):
         if value in seen:
@@ -258,7 +265,8 @@ def ingest_specimen(
     cell, or a measured column that the header names more than once.
     """
     if isinstance(pore_table, (str, Path)):
-        with open(pore_table, "r", encoding="utf-8", newline="") as handle:
+        # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports start with.
+        with open(pore_table, "r", encoding="utf-8-sig", newline="") as handle:
             return ingest_specimen(
                 handle,
                 specimen_id=specimen_id,
@@ -280,33 +288,56 @@ def ingest_specimen(
     if repeated:
         raise IngestError(f"header: column {repeated[0]} appears more than once")
     rows = [row for row in reader if row]
-    # One tuple per column, led by its header name; a short row's missing cells are None.
-    columns = {cells[0]: cells[1:] for cells in zip_longest(header, *rows)}
-    short = [columns[c].index(None) for c in REQUIRED_COLUMNS if None in columns.get(c, ())]
-    if short:
-        raise IngestError(f"row {min(short) + 2}: missing cells")
-    centroid = [columns[c] for c in CENTROID_COLUMNS if c in columns]
-    if len(centroid) == 3 and any(None in cells for cells in centroid):
+    widths = np.fromiter(map(len, rows), int, len(rows))
+    measured = REQUIRED_COLUMNS
+    if all(c in header for c in CENTROID_COLUMNS):
+        measured += CENTROID_COLUMNS
+    index = {c: header.index(c) for c in measured if c in header}
+    required = [index[c] for c in REQUIRED_COLUMNS if c in index]
+    short = np.flatnonzero(widths <= max(required, default=-1))
+    if short.size:
+        raise IngestError(f"row {short[0] + 2}: missing cells")
+    centroid = [index[c] for c in CENTROID_COLUMNS if c in index]
+    last = max(centroid, default=-1)
+    for row in np.flatnonzero(widths <= last).tolist():
         # A row cut short inside the centroid columns has no centroid at all.
-        cut = [None in xyz for xyz in zip(*centroid)]
-        for c in CENTROID_COLUMNS:
-            columns[c] = ["" if drop else cell for drop, cell in zip(cut, columns[c])]
+        padded = rows[row] + [""] * (last + 1 - len(rows[row]))
+        for i in centroid:
+            padded[i] = ""
+        rows[row] = padded
+    cells = {c: list(map(itemgetter(i), rows)) for c, i in index.items()}
+    # Free the row lists, and the text of the columns not kept, before parsing.
+    del rows
     return SpecimenDataset(
         specimen_id=specimen_id,
         geometry_label=geometry_label,
         scan_velocity_mm_s=scan_velocity_mm_s,
         scanned_volume_mm3=scanned_volume_mm3,
-        cells={c: columns[c] for c in REQUIRED_COLUMNS + CENTROID_COLUMNS if c in columns},
+        cells=cells,
         build_location_mm=build_location_mm,
     )
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(char in text for char in _QUOTE_CHARS)
+
+
+def _quoted(cells: list[str]) -> list[str]:
+    """Cell text as csv fields: quoted where it holds a comma, a quote or a line break."""
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return [
+        '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell for cell in cells
+    ]
 
 
 def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
     """Write the canonical dataset dump: measured columns plus derived columns.
 
-    The measured columns' cell text is written verbatim and the derived
-    columns in shortest round-trip float format, one row per pore in
-    canonical (descending diameter) order.
+    The measured columns' cell text is written verbatim, in double quotes
+    where it holds a comma, a quote or a line break (csv's minimal
+    quoting), and the derived columns in shortest round-trip float format,
+    one row per pore in canonical (descending diameter) order.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
@@ -314,8 +345,7 @@ def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
             return
 
     derived = (dataset.diameters_um, dataset.aspect_ratios, dataset.sphericities)
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow([*dataset.cells, *DERIVED_COLUMNS])
-    writer.writerows(
-        zip(*(c.tolist() for c in dataset.cells.values()), *(map(repr, d.tolist()) for d in derived))
-    )
+    columns = [_quoted(c.tolist()) for c in dataset.cells.values()]
+    columns += [map(repr, d.tolist()) for d in derived]
+    dest.write(",".join([*dataset.cells, *DERIVED_COLUMNS]) + "\n")
+    dest.writelines(map("{}\n".format, map(",".join, zip(*columns))))

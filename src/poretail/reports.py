@@ -116,7 +116,7 @@ def write_fit_report(
     items.append(("flags", "|".join(fit.flags)))
     emp = fit.empirical_below_um
     if emp is not None:
-        items.append(("empirical_below_um", ",".join(repr(float(v)) for v in emp)))
+        items.append(("empirical_below_um", ",".join(map(repr, emp.tolist()))))
     with open(dest, "w", encoding="utf-8") as handle:
         _write_keyvalues(handle, items)
 
@@ -141,7 +141,7 @@ def read_fit_report(path: str | Path) -> TailFit:
         if "empirical_below_um" in values:
             text = values["empirical_below_um"]
             empirical = (
-                np.array([float(v) for v in text.split(",")]) if text else np.empty(0)
+                np.fromiter(map(float, text.split(",")), float) if text else np.empty(0)
             )
         flags = tuple(f for f in values.get("flags", "").split("|") if f)
 

@@ -110,6 +110,20 @@ class TestSimulateAndGeom:
         assert code == 2
         assert "scanned_volume_mm3" in capsys.readouterr().err
 
+    def test_geom_accepts_byte_order_mark(self, workspace, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        plain = workspace / "pores.csv"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        dumps = []
+        for table in (plain, marked):
+            out = tmp_path / f"{table.stem}_geom.csv"
+            code = main(["geom", "--input", str(table), "--specimen-id", "X",
+                         "--scanned-volume", "200", "--output", str(out)])
+            assert code == 0, capsys.readouterr().err
+            dumps.append(out.read_bytes())
+        assert dumps[0] == dumps[1]
+
     def test_unresolvable_path_is_usage_error(self, tmp_path):
         code = main(["geom", "--input", str(tmp_path / "nope.csv"),
                      "--specimen-id", "X", "--scanned-volume", "10",
@@ -288,6 +302,23 @@ class TestSweep:
         cells = rows[1].split(",")
         assert float(cells[1]) == pytest.approx(dist.mean_um, rel=1e-12)
         assert float(cells[4]) == pytest.approx(dist.p97_5_um, rel=1e-12)
+
+    def test_unconverged_rule_flagged_per_volume(self, tmp_path, capsys):
+        from poretail.extremes import FLAG_RULE_UNCONVERGED
+
+        # the heavy-tail probe: the (scale, shape) rule hits its 64-node cap
+        write_fit_report(synthetic_fit(shape=0.9, n_exceed=30), tmp_path / "heavy_fit.txt")
+        sweep_path = tmp_path / "sweep.csv"
+        code = main(["sweep", "--fit", str(tmp_path / "heavy_fit.txt"),
+                     "--volumes", "10,100", "--seed", "1", "--mode", "all", "--bins", "64",
+                     "--output", str(sweep_path)])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"sweep: 2 volume(s) -> {sweep_path}"
+        assert out[1:] == [f"sweep flags at {v} mm3: {FLAG_RULE_UNCONVERGED}" for v in (10, 100)]
+        rows = [l for l in sweep_path.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == "volume_mm3,mean_um,p2_5_um,p50_um,p97_5_um,no_pore_mass"
+        assert [len(r.split(",")) for r in rows[1:]] == [6, 6]
 
     def test_empty_volume_list_is_usage_error(self, workspace, tmp_path):
         code = main(["sweep", "--fit", str(workspace / "run" / "syn_fit.txt"),

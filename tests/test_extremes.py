@@ -489,6 +489,18 @@ class TestVolumeSweep:
         assert points[0].mean_um == direct.mean_um
         assert points[0].p97_5_um == direct.p97_5_um
 
+    def test_points_carry_precision_nodes_and_flags(self):
+        # the heavy-tail probe: each volume's rule hits the node cap, as in predict
+        fit = synthetic_fit(shape=0.9, n_exceed=30)
+        cfg = McConfig(seed=1, histogram_bins=64, uncertainty_mode="all")
+        points = volume_sweep(fit, [10.0, 100.0], cfg)
+        for point in points:
+            direct = sample_largest(fit, VolumeOfInterest(point.volume_mm3), cfg)
+            assert point.cdf_precision == direct.cdf_precision > 1e-4
+            assert point.nodes_per_axis == direct.nodes_per_axis == 64
+            assert point.flags == direct.flags
+            assert extremes.FLAG_RULE_UNCONVERGED in point.flags
+
     def test_negative_shape_bounded_by_support(self):
         fit = synthetic_fit(shape=-0.3)
         cfg = McConfig(seed=41, n_count_samples=100, n_param_samples=1,

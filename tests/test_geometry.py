@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -190,6 +191,58 @@ class TestIngest:
         ds = make_dataset(lead + header + "\n" + row + "\n")
         assert list(ds.cells["pore_id"]) == ["p1"]
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(WELL_FORMED, encoding="utf-8")
+        marked.write_text(WELL_FORMED, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        kwargs = dict(specimen_id="S1", scanned_volume_mm3=200.0)
+        a, b = ingest_specimen(plain, **kwargs), ingest_specimen(marked, **kwargs)
+        assert {c: list(v) for c, v in a.cells.items()} == {c: list(v) for c, v in b.cells.items()}
+        assert a.diameters_um.tobytes() == b.diameters_um.tobytes()
+
+    @pytest.mark.parametrize("short_row, expected_row", [(1, 3), (2, 4)])
+    def test_missing_cells_in_a_later_required_column(self, short_row, expected_row):
+        # the row ends after min_feret_um: only max_feret_um, the last required column, is missing
+        lines = WELL_FORMED.splitlines()
+        lines[short_row + 1] = lines[short_row + 1].rsplit(",", 1)[0]
+        with pytest.raises(IngestError, match=rf"^row {expected_row}: missing cells$"):
+            make_dataset("\n".join(lines) + "\n")
+
+    def test_row_short_only_in_unmeasured_columns_accepted(self):
+        header, *rows = WELL_FORMED.splitlines()
+        text = "\n".join([header + ",note,tag", rows[0] + ",a,b", rows[1], rows[2] + ",c"])
+        ds = make_dataset(text + "\n")
+        assert set(ds.cells) == set(REQUIRED_COLUMNS)
+        assert sorted(ds.cells["pore_id"]) == ["p1", "p2", "p3"]
+
+    def test_row_longer_than_header(self):
+        header, *rows = WELL_FORMED.splitlines()
+        rows[1] += ",1.0,extra,\"quoted, cell\""
+        ds = make_dataset("\n".join([header, *rows]) + "\n")
+        assert set(ds.cells) == set(REQUIRED_COLUMNS)
+        assert list(ds.cells["max_feret_um"]) == ["105.0", "22.0", "5.0"]
+        assert _dump_text(ds) == _dump_text(make_dataset())
+
+    def test_row_cut_short_inside_centroid_columns(self):
+        text = (
+            "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um,"
+            "centroid_x_um,centroid_y_um,centroid_z_um\n"
+            "p1,15.625,30.0,2.5,5.0,1.0,2.0,3.0\n"
+            "p2,4188.79,1256.64,18.0,22.0,4.0,5.0\n"
+            "p3,20.5,36.1,2.5,4.0\n"
+        )
+        ds = make_dataset(text)
+        assert list(ds.cells["pore_id"]) == ["p2", "p3", "p1"]
+        for column in CENTROID_COLUMNS:
+            assert list(ds.cells[column][:2]) == ["", ""]
+        assert np.isnan(ds.centroid_um[:2]).all()
+        assert ds.centroid_um[2].tolist() == [1.0, 2.0, 3.0]
+        lines = _dump_text(ds).splitlines()
+        assert lines[1].startswith("p2,4188.79,1256.64,18.0,22.0,,,,")
+        assert lines[2].startswith("p3,20.5,36.1,2.5,4.0,,,,")
+
     def test_nonpositive_scanned_volume_rejected(self):
         with pytest.raises(ValueError, match="scanned_volume"):
             make_dataset(scanned_volume_mm3=0.0)
@@ -235,7 +288,35 @@ class TestIngestRefusals:
             make_dataset(scanned_volume_mm3=volume)
 
 
+def _dump_text(ds):
+    out = io.StringIO()
+    dump_specimen(ds, out)
+    return out.getvalue()
+
+
+def _csv_writer_dump(ds):
+    """The dump as the csv module writes it, from the dataset's own columns."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*ds.cells, "equiv_diameter_um", "aspect_ratio", "sphericity"])
+    derived = (ds.diameters_um, ds.aspect_ratios, ds.sphericities)
+    writer.writerows(
+        zip(*(c.tolist() for c in ds.cells.values()), *(map(repr, d.tolist()) for d in derived))
+    )
+    return out.getvalue()
+
+
 class TestDump:
+    def test_lone_carriage_return_in_id_quoted_and_reingests(self):
+        text = WELL_FORMED.replace("p2,", '"p\r2",')
+        ds = ingest_specimen(io.StringIO(text, newline=""), specimen_id="S", scanned_volume_mm3=1.0)
+        dumped = _dump_text(ds)
+        assert '\n"p\r2",15.625,' in dumped
+        again = ingest_specimen(io.StringIO(dumped, newline=""), specimen_id="S",
+                                scanned_volume_mm3=1.0)
+        assert list(again.cells["pore_id"]) == ["p1", "p3", "p\r2"]
+        assert _dump_text(again) == dumped
+
     def test_round_trip_bit_exact(self):
         # raw measurement cells survive dump verbatim, including "0.10"-style text
         text = (
@@ -381,3 +462,41 @@ def test_ingest_dump_ingest_round_trip(table):
     assert out.getvalue().splitlines()[0].split(",")[:kept] == list(header[:kept])
     assert again.diameters_um.tobytes() == first.diameters_um.tobytes()
     assert again.diameters_um.tolist() == [diameters[i] for i in order]
+
+
+# pieces of awkward ids: csv specials, spaces, and "\r" only inside "\r\n"
+# (the csv module leaves a lone "\r" unquoted when lines end in "\n")
+ID_PIECES = ["p", "7", ",", '"', "\n", "\r\n", " ", "#"]
+
+
+@st.composite
+def quoted_tables(draw):
+    """Rows of a pore table whose ids need csv quoting and whose centroids are partly blank."""
+    n = draw(st.integers(0, 10))
+    ids = draw(st.lists(st.lists(st.sampled_from(ID_PIECES), max_size=4).map("".join),
+                        min_size=n, max_size=n, unique=True))
+    centroid = draw(st.booleans())
+    rows = []
+    for pore_id in ids:
+        fmin, fmax = sorted(draw(st.lists(number_text(), min_size=2, max_size=2)), key=float)
+        row = [pore_id, draw(number_text()), draw(number_text()), fmin, fmax]
+        if centroid:
+            row += [draw(st.one_of(st.just(""), number_text(signed=True))) for _ in range(3)]
+        rows.append(row)
+    return REQUIRED_COLUMNS + (CENTROID_COLUMNS if centroid else ()), rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(table=quoted_tables(), terminator=st.sampled_from(["\n", "\r\n"]))
+def test_dump_equals_csv_writer(table, terminator):
+    header, rows = table
+    source = io.StringIO(newline="")
+    csv.writer(source, lineterminator=terminator).writerows([header, *rows])
+    ds = ingest_specimen(io.StringIO(source.getvalue(), newline=""), specimen_id="S",
+                         scanned_volume_mm3=1.0)
+    assert sorted(ds.cells["pore_id"]) == sorted(row[0] for row in rows)
+    dumped = _dump_text(ds)
+    assert dumped == _csv_writer_dump(ds)
+    again = ingest_specimen(io.StringIO(dumped, newline=""), specimen_id="S",
+                            scanned_volume_mm3=1.0)
+    assert _dump_text(again) == dumped
