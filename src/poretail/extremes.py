@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
 
 from .geometry import SpecimenDataset
 from .gpd import (
@@ -421,6 +420,9 @@ def _log_laplace_rate(a, lam: float, se: float) -> np.ndarray:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if se <= 0.0:
         return -a * lam
+    # imported here so that `import poretail` does not load scipy.special
+    from scipy.special import erfcx, log_ndtr
+
     t = lam / se
     x = t - a * se
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -11,6 +11,7 @@ The metric functions accept a scalar or an array.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import dropwhile, repeat
@@ -243,6 +244,88 @@ class SpecimenDataset:
         return self.diameters_um.size
 
 
+def _is_preamble(line: str) -> bool:
+    # Leading "# key=value" provenance comments and blank lines are allowed
+    # and skipped; below the header every line is data. Row numbers in error
+    # messages count the remaining lines, header first, without blank lines.
+    return not line.strip() or line.lstrip().startswith("#")
+
+
+def _measured_index(header: list[str] | None) -> dict[str, int]:
+    """Header position of each measured column that the header names."""
+    if header is None:
+        raise IngestError("empty file: no header row, no rows")
+    repeated = [c for c in REQUIRED_COLUMNS + CENTROID_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise IngestError(f"header: column {repeated[0]} appears more than once")
+    measured = REQUIRED_COLUMNS
+    if all(c in header for c in CENTROID_COLUMNS):
+        measured += CENTROID_COLUMNS
+    return {c: header.index(c) for c in measured if c in header}
+
+
+def _row_columns(rows: list[list[str]], index: Mapping[str, int]) -> dict[str, list[str]]:
+    """Measured columns of rows of any width; refuses the first row short of a required cell."""
+    widths = np.fromiter(map(len, rows), int, len(rows))
+    required = [index[c] for c in REQUIRED_COLUMNS if c in index]
+    short = np.flatnonzero(widths <= max(required, default=-1))
+    if short.size:
+        raise IngestError(f"row {short[0] + 2}: missing cells")
+    centroid = [index[c] for c in CENTROID_COLUMNS if c in index]
+    last = max(centroid, default=-1)
+    for row in np.flatnonzero(widths <= last).tolist():
+        # A row cut short inside the centroid columns has no centroid at all.
+        padded = rows[row] + [""] * (last + 1 - len(rows[row]))
+        for i in centroid:
+            padded[i] = ""
+        rows[row] = padded
+    return {c: list(map(itemgetter(i), rows)) for c, i in index.items()}
+
+
+def _csv_columns(text: str) -> dict[str, list[str]]:
+    """Measured columns of a table with quoted cells, read with csv.reader."""
+    reader = csv.reader(dropwhile(_is_preamble, io.StringIO(text, newline="")))
+    try:
+        index = _measured_index(next(reader, None))
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise IngestError(f"row {reader.line_num}: {exc}") from None
+    return _row_columns(rows, index)
+
+
+def _table_columns(pore_table: IO[str]) -> dict[str, list[str]]:
+    """Measured columns' cell text, read in one piece and split in bulk.
+
+    Without a double quote in the text, csv quoting cannot apply and every
+    comma separates cells; rows of the header's width are then joined and
+    split once, and each column is a stride slice of the cells.
+    """
+    try:
+        text = pore_table.read()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
+    # Drop the byte-order mark that "CSV UTF-8" exports start with.
+    text = text.removeprefix("\ufeff")
+    if '"' in text:
+        return _csv_columns(text)
+    # csv breaks lines at "\r\n", "\r" and "\n", and at nothing else.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    del text
+    start = next((i for i, line in enumerate(lines) if not _is_preamble(line)), None)
+    header = None if start is None else lines[start].split(",")
+    index = _measured_index(header)
+    lines = [line for line in lines[start + 1:] if line]
+    width = len(header)
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return _row_columns([line.split(",") for line in lines], index)
+    flat = ",".join(lines)
+    del lines
+    flat = flat.split(",")
+    return {c: flat[i::width] for c, i in index.items()}
+
+
 def ingest_specimen(
     pore_table: str | Path | IO[str],
     *,
@@ -262,11 +345,13 @@ def ingest_specimen(
 
     Raises IngestError naming the row and column of a malformed cell (see
     SpecimenDataset for the checks), the row of one missing a required
-    cell, or a measured column that the header names more than once.
+    cell or of a quoted cell that csv cannot read (one longer than its
+    field size limit), a measured column that the header names more than
+    once, or the byte offset of text that is not UTF-8.
     """
     if isinstance(pore_table, (str, Path)):
-        # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports start with.
-        with open(pore_table, "r", encoding="utf-8-sig", newline="") as handle:
+        # utf-8, not utf-8-sig, so that an undecodable byte's offset counts the mark.
+        with open(pore_table, "r", encoding="utf-8", newline="") as handle:
             return ingest_specimen(
                 handle,
                 specimen_id=specimen_id,
@@ -276,44 +361,13 @@ def ingest_specimen(
                 build_location_mm=build_location_mm,
             )
 
-    # Leading "# key=value" provenance comments and blank lines are allowed
-    # and skipped; below the header every line is data. Row numbers in error
-    # messages count the remaining lines, header first, without blank lines.
-    lines = dropwhile(lambda line: not line.strip() or line.lstrip().startswith("#"), pore_table)
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise IngestError("empty file: no header row, no rows")
-    repeated = [c for c in REQUIRED_COLUMNS + CENTROID_COLUMNS if header.count(c) > 1]
-    if repeated:
-        raise IngestError(f"header: column {repeated[0]} appears more than once")
-    rows = [row for row in reader if row]
-    widths = np.fromiter(map(len, rows), int, len(rows))
-    measured = REQUIRED_COLUMNS
-    if all(c in header for c in CENTROID_COLUMNS):
-        measured += CENTROID_COLUMNS
-    index = {c: header.index(c) for c in measured if c in header}
-    required = [index[c] for c in REQUIRED_COLUMNS if c in index]
-    short = np.flatnonzero(widths <= max(required, default=-1))
-    if short.size:
-        raise IngestError(f"row {short[0] + 2}: missing cells")
-    centroid = [index[c] for c in CENTROID_COLUMNS if c in index]
-    last = max(centroid, default=-1)
-    for row in np.flatnonzero(widths <= last).tolist():
-        # A row cut short inside the centroid columns has no centroid at all.
-        padded = rows[row] + [""] * (last + 1 - len(rows[row]))
-        for i in centroid:
-            padded[i] = ""
-        rows[row] = padded
-    cells = {c: list(map(itemgetter(i), rows)) for c, i in index.items()}
-    # Free the row lists, and the text of the columns not kept, before parsing.
-    del rows
+    # The text, its rows and the columns not kept are freed before parsing.
     return SpecimenDataset(
         specimen_id=specimen_id,
         geometry_label=geometry_label,
         scan_velocity_mm_s=scan_velocity_mm_s,
         scanned_volume_mm3=scanned_volume_mm3,
-        cells=cells,
+        cells=_table_columns(pore_table),
         build_location_mm=build_location_mm,
     )
 
@@ -322,13 +376,16 @@ def _needs_quotes(text: str) -> bool:
     return any(char in text for char in _QUOTE_CHARS)
 
 
+def _quote_cell(cell: str) -> str:
+    """Cell text as a csv field: quoted where it holds a comma, a quote or a line break."""
+    return '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell
+
+
 def _quoted(cells: list[str]) -> list[str]:
-    """Cell text as csv fields: quoted where it holds a comma, a quote or a line break."""
+    """_quote_cell of every cell, scanning the column once when none needs quotes."""
     if not _needs_quotes("".join(cells)):
         return cells
-    return [
-        '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell for cell in cells
-    ]
+    return list(map(_quote_cell, cells))
 
 
 def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .extremes import LargestPoreDistribution
+from .geometry import _quote_cell
 from .gpd import GpdParams, TailFit
 
 FIT_FORMAT = "poretail-fit/1"
@@ -46,13 +47,29 @@ def provenance_lines(provenance: Mapping[str, object] | None) -> list[str]:
     return [f"# {key}={fmt(value)}" for key, value in provenance.items()]
 
 
+def _table_cell(value) -> str:
+    """fmt for a table cell, floats (the bulk of every table) tested first.
+
+    Text is quoted where csv needs it; numbers never need it and are not scanned.
+    """
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, str):
+        return _quote_cell(value)
+    return "" if value is None else fmt(value)
+
+
 def write_table(
     dest: str | Path | IO[str],
     columns: Sequence[str],
     rows: Iterable[Sequence],
     provenance: Mapping[str, object] | None = None,
 ) -> None:
-    """Comma-separated table with header row and optional provenance comments."""
+    """Comma-separated table with header row and optional provenance comments.
+
+    Text cells holding a comma, a quote or a line break are written in
+    csv's minimal quoting, as in the specimen dump.
+    """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             write_table(handle, columns, rows, provenance)
@@ -61,7 +78,7 @@ def write_table(
         dest.write(line + "\n")
     dest.write(",".join(columns) + "\n")
     for row in rows:
-        dest.write(",".join("" if cell is None else fmt(cell) for cell in row) + "\n")
+        dest.write(",".join(map(_table_cell, row)) + "\n")
 
 
 def _write_keyvalues(handle: IO[str], items: Sequence[tuple[str, object]]) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .equivalence import EmpiricalCdf
 from .extremes import CovarianceUnavailableError
@@ -62,6 +61,9 @@ def _sample_bulk(
     rng: np.random.Generator, bulk: BulkModel, threshold_um: float, size: int
 ) -> np.ndarray:
     """Lognormal draws conditioned to lie below the threshold (inverse CDF)."""
+    # imported here so that `import poretail` does not load scipy.special
+    from scipy.special import ndtr, ndtri
+
     cap = float(ndtr((np.log(threshold_um) - bulk.log_mean) / bulk.log_sigma))
     u = np.clip(rng.random(size) * cap, 1e-300, None)
     return np.exp(bulk.log_mean + bulk.log_sigma * ndtri(u))

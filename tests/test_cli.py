@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -123,6 +124,26 @@ class TestSimulateAndGeom:
             assert code == 0, capsys.readouterr().err
             dumps.append(out.read_bytes())
         assert dumps[0] == dumps[1]
+
+    def test_geom_undecodable_bytes_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "utf16.csv"
+        table.write_bytes("pore_id,volume_um3\n".encode("utf-16"))
+        code = main(["geom", "--input", str(table), "--specimen-id", "X",
+                     "--scanned-volume", "10", "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "data error: byte 0: not UTF-8 text" in capsys.readouterr().err
+
+    def test_geom_overlong_quoted_cell_is_data_error(self, tmp_path, capsys):
+        table = tmp_path / "long.csv"
+        table.write_text(
+            "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n"
+            f'"{"p" * 140_000}",15.625,30.0,2.5,5.0\n'
+        )
+        code = main(["geom", "--input", str(table), "--specimen-id", "X",
+                     "--scanned-volume", "10", "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "data error: row 2: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unresolvable_path_is_usage_error(self, tmp_path):
         code = main(["geom", "--input", str(tmp_path / "nope.csv"),
@@ -286,6 +307,21 @@ class TestCompare:
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
 
+
+    def test_text_cells_are_quoted(self, tmp_path):
+        fit_path = tmp_path / "fit.txt"
+        write_fit_report(synthetic_fit(fit_id='A,"B"@20um'), fit_path)
+        assert main(["predict", "--fit", str(fit_path), "--volume", "10", "--seed", "1",
+                     "--mode", "none", "--out-dir", str(tmp_path), "--tag", "p"]) == 0
+        out = tmp_path / "report.csv"
+        assert main(["compare", "--prediction", str(tmp_path / "p"), "--observed", "25",
+                     "--part-id", "P,1", "--output", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 1 and len(rows[0]) == 8 and None not in rows[0]
+        assert rows[0]["coupon_fit_id"] == 'A,"B"@20um'
+        assert rows[0]["part_specimen_id"] == "P,1"
+        assert float(rows[0]["observed_um"]) == 25.0
 
 class TestSweep:
     def test_single_volume_matches_predict_summary(self, workspace, tmp_path):
@@ -457,3 +493,42 @@ def test_heavy_scipy_subpackages_load_only_where_used():
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.splitlines() == ["[False, False]", "[True, False]", "[True, True]"]
+
+
+SPECIAL_PROBE = """
+import sys
+from poretail.cli import main
+
+table, fit, out = sys.argv[1:]
+loaded = ["scipy.special" in sys.modules]
+for argv in (
+    ["geom", "--input", table, "--specimen-id", "X", "--scanned-volume", "10",
+     "--output", out + "/geom.csv"],
+    ["predict", "--fit", fit, "--volume", "10", "--seed", "1", "--mode", "none",
+     "--out-dir", out, "--tag", "none"],
+    ["compare", "--prediction", out + "/none", "--observed", "25",
+     "--output", out + "/compare.csv"],
+    ["predict", "--fit", fit, "--volume", "10", "--seed", "1", "--mode", "all",
+     "--out-dir", out, "--tag", "all"],
+):
+    assert main(argv) == 0, argv
+    loaded.append("scipy.special" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_special_loads_only_for_the_engine_and_synthesis(tmp_path):
+    # geom, predict --mode none and compare start on numpy alone
+    table = tmp_path / "pores.csv"
+    table.write_text(
+        "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n"
+        "p1,15.625,30.0,2.5,5.0\n"
+    )
+    fit = tmp_path / "fit.txt"
+    write_fit_report(synthetic_fit(), fit)
+    src = str(Path(poretail.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", SPECIAL_PROBE, str(table), str(fit),
+                           str(tmp_path)], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, True]"

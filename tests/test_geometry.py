@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -500,3 +501,135 @@ def test_dump_equals_csv_writer(table, terminator):
     again = ingest_specimen(io.StringIO(dumped, newline=""), specimen_id="S",
                             scanned_volume_mm3=1.0)
     assert _dump_text(again) == dumped
+
+
+def _preamble(line):
+    return not line.strip() or line.lstrip().startswith("#")
+
+
+def csv_reader_ingest(text):
+    """Ingest as csv.reader splits the table, row by row: the reference for quote-free text."""
+    reader = csv.reader(itertools.dropwhile(_preamble, io.StringIO(text, newline="")))
+    header = next(reader, None)
+    if header is None:
+        raise IngestError("empty file: no header row, no rows")
+    for column in REQUIRED_COLUMNS + CENTROID_COLUMNS:
+        if header.count(column) > 1:
+            raise IngestError(f"header: column {column} appears more than once")
+    measured = REQUIRED_COLUMNS
+    if set(CENTROID_COLUMNS) <= set(header):
+        measured += CENTROID_COLUMNS
+    index = {c: header.index(c) for c in measured if c in header}
+    cells = {c: [] for c in index}
+    for number, row in enumerate((row for row in reader if row), start=2):
+        if any(len(row) <= i for c, i in index.items() if c in REQUIRED_COLUMNS):
+            raise IngestError(f"row {number}: missing cells")
+        cut = any(len(row) <= i for c, i in index.items() if c in CENTROID_COLUMNS)
+        for c, i in index.items():
+            cells[c].append("" if cut and c in CENTROID_COLUMNS else row[i])
+    return SpecimenDataset(specimen_id="S", geometry_label="", scan_velocity_mm_s=0.0,
+                           scanned_volume_mm3=10.0, cells=cells)
+
+
+def _outcome(build):
+    try:
+        ds = build()
+    except IngestError as exc:
+        return f"refused: {exc}"
+    return {c: list(cells) for c, cells in ds.cells.items()}
+
+
+# awkward quote-free cells: spaces, NUL characters and "#"-prefixed ids
+AWKWARD_CELLS = ["", " ", "  ", "\0", "a\0b", "#", "#p", " 15.625", "15.625 "]
+PREAMBLE_LINES = ["", " ", "\t", "# seed=5", "  # note", "#"]
+# below the header only empty lines are skipped; the others are (short) rows
+BODY_LINES = ["", "", "", "", " ", "#p9", "# note"]
+EXTRA_COLUMNS = ["note", "", "pore_id2"]
+
+
+@st.composite
+def quote_free_tables(draw):
+    """Table text without a double quote: ragged rows, blank and '#' lines, mixed line ends."""
+    header = list(REQUIRED_COLUMNS)
+    if draw(st.booleans()):
+        header += CENTROID_COLUMNS
+    header += draw(st.lists(st.sampled_from(EXTRA_COLUMNS), max_size=2))
+    edit = draw(st.integers(0, 19))
+    if edit == 0:
+        header.remove(draw(st.sampled_from(REQUIRED_COLUMNS)))
+    elif edit == 1:
+        header.append(draw(st.sampled_from(header)))
+    if draw(st.booleans()):
+        header = draw(st.permutations(header))
+    required = max(header.index(c) for c in REQUIRED_COLUMNS if c in header)
+    # at most one kind of mess per table, so that a table that fails is
+    # mostly refused for it and a clean one mostly ingests
+    mess = draw(st.sampled_from(["", "", "cells", "cuts", "lines"]))
+    lines = draw(st.lists(st.sampled_from(PREAMBLE_LINES), max_size=3))
+    lines.append(",".join(header))
+    for i in range(draw(st.integers(0, 8))):
+        fmin, fmax = sorted(draw(st.lists(number_text(), min_size=2, max_size=2)), key=float)
+        valid = {"pore_id": f"p{i}", "volume_um3": draw(number_text()),
+                 "surface_area_um2": draw(number_text()), "min_feret_um": fmin,
+                 "max_feret_um": fmax}
+        row = []
+        for column in header:
+            if mess == "cells" and draw(st.integers(0, 19)) == 0:
+                row.append(draw(st.sampled_from(AWKWARD_CELLS)))
+            elif column in valid:
+                row.append(valid[column])
+            elif column in CENTROID_COLUMNS:
+                blank = draw(st.integers(0, 5)) == 0
+                row.append("" if blank else draw(number_text(signed=True)))
+            else:
+                row.append(draw(st.sampled_from(AWKWARD_CELLS)))
+        shape = draw(st.integers(0, 7))
+        if shape == 0 and mess == "cuts":  # cut short of a required cell
+            row = row[:draw(st.integers(1, required))]
+        elif shape < 3:  # cut short after the last required cell, centroids included
+            row = row[:draw(st.integers(required + 1, len(row)))]
+        elif shape == 3:
+            row += draw(st.lists(st.sampled_from(AWKWARD_CELLS), min_size=1, max_size=2))
+        lines.append(",".join(row))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(BODY_LINES)) if mess == "lines" else "")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=quote_free_tables())
+def test_bulk_split_matches_csv_reader(text):
+    ingested = _outcome(lambda: ingest_specimen(
+        io.StringIO(text, newline=""), specimen_id="S", scanned_volume_mm3=10.0))
+    assert ingested == _outcome(lambda: csv_reader_ingest(text))
+
+
+def test_quote_free_table_bypasses_csv(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader used on a table without quotes")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert len(make_dataset(WELL_FORMED.replace("\n", "\r\n"))) == 3
+    with pytest.raises(AssertionError, match="csv.reader used"):
+        make_dataset(WELL_FORMED.replace("p2", '"p2"'))
+
+
+def test_overlong_quoted_cell_names_row():
+    limit = csv.field_size_limit()
+    text = WELL_FORMED.replace("p2", '"' + "x" * (limit + 10) + '"')
+    with pytest.raises(IngestError, match=r"^row 3: field larger than field limit"):
+        make_dataset(text)
+    assert csv.field_size_limit() == limit
+
+
+def test_undecodable_bytes_name_offset(tmp_path):
+    table = tmp_path / "latin1.csv"
+    table.write_bytes(b"\xef\xbb\xbf" + WELL_FORMED.replace("p2", "p\xe92").encode("latin-1"))
+    offset = 3 + WELL_FORMED.index("p2") + 1
+    with pytest.raises(IngestError, match=rf"^byte {offset}: not UTF-8 text"):
+        ingest_specimen(table, specimen_id="S", scanned_volume_mm3=1.0)
