@@ -34,6 +34,7 @@ from .gpd import FitError, GpdParams, qq_points
 from .reports import (
     ReportParseError,
     config_sha256,
+    prediction_paths,
     read_fit_report,
     read_prediction,
     write_fit_report,
@@ -95,7 +96,7 @@ def _require(value, name: str):
     return value
 
 
-def _input_path(path: str) -> Path:
+def _input_path(path: str | Path) -> Path:
     target = Path(path)
     if not target.is_file():
         raise CliUsageError(f"input path not resolvable: {path}")
@@ -265,12 +266,10 @@ def cmd_predict(args) -> int:
     cdf_path, summary_path = write_prediction(
         dist, out_dir / tag, provenance=_stamp(mc.seed, options)
     )
-    summary = dist.summary()
     print(
-        f"predict: volume={volume:g}mm3 mode={mc.uncertainty_mode} "
-        f"mean={summary['mean_um']:.6g}um "
-        f"p2.5={summary['p2_5_um']:.6g} p50={summary['p50_um']:.6g} "
-        f"p97.5={summary['p97_5_um']:.6g} no_pore_mass={summary['no_pore_mass']:.3g} "
+        f"predict: volume={volume:g}mm3 mode={mc.uncertainty_mode} mean={dist.mean_um:.6g}um "
+        f"p2.5={dist.p2_5_um:.6g} p50={dist.p50_um:.6g} "
+        f"p97.5={dist.p97_5_um:.6g} no_pore_mass={dist.no_pore_mass:.3g} "
         f"-> {cdf_path}, {summary_path}"
     )
     return EXIT_OK
@@ -278,6 +277,8 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
+    for path in prediction_paths(args.prediction):
+        _input_path(path)
     dist = read_prediction(args.prediction)
     coupon_pos = _parse_xy(args.coupon_position) if args.coupon_position else None
     part_pos = _parse_xy(args.part_position) if args.part_position else None
@@ -345,7 +346,7 @@ def cmd_sweep(args) -> int:
     if not volumes:
         raise CliUsageError("--volumes must list at least one volume")
     mc = _mc_config(args, config)
-    points = volume_sweep(fit, volumes, mc)
+    dists = volume_sweep(fit, volumes, mc)
     options = {
         "command": "sweep",
         "fit": str(args.fit),
@@ -361,15 +362,15 @@ def cmd_sweep(args) -> int:
         args.output,
         ("volume_mm3", "mean_um", "p2_5_um", "p50_um", "p97_5_um", "no_pore_mass"),
         [
-            (p.volume_mm3, p.mean_um, p.p2_5_um, p.p50_um, p.p97_5_um, p.no_pore_mass)
-            for p in points
+            (v, d.mean_um, d.p2_5_um, d.p50_um, d.p97_5_um, d.no_pore_mass)
+            for v, d in zip(volumes, dists)
         ],
         provenance=_stamp(mc.seed, options),
     )
-    print(f"sweep: {len(points)} volume(s) -> {args.output}")
-    for p in points:
-        if p.flags:
-            print(f"sweep flags at {p.volume_mm3:g} mm3: " + "; ".join(p.flags))
+    print(f"sweep: {len(dists)} volume(s) -> {args.output}")
+    for v, d in zip(volumes, dists):
+        if d.flags:
+            print(f"sweep flags at {v:g} mm3: " + "; ".join(d.flags))
     return EXIT_OK
 
 

@@ -221,13 +221,11 @@ def mode_comparison_table(
     fit: TailFit,
     volumes_mm3: Sequence[float],
     configs: Mapping[str, McConfig],
-    *,
-    workers: int = 1,
 ) -> list[tuple[float, float, float]]:
     """KS distances from the no-uncertainty CDF per volume and mode.
 
     `configs` supplies one sampling plan per mode ("none", "poisson_only",
-    "all"); rows match KS_MATRIX_COLUMNS. `workers` is accepted and ignored.
+    "all"); rows match KS_MATRIX_COLUMNS.
     """
     for mode in ("none", "poisson_only", "all"):
         if mode not in configs:

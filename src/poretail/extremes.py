@@ -49,6 +49,13 @@ _PROBE_FRACTIONS = np.geomspace(1e-12, 1.0, 128)
 _UNRESOLVED_MASS = 1e-5
 # Bisection narrows the top edge to 2**-40 of its bracket, far inside a bin.
 _BISECTION_STEPS = 40
+# Fractions of the reported percentiles p2.5, p50 and p97.5.
+_PERCENTILES = np.array([0.025, 0.5, 0.975])
+# Fields of summary(), in the order the prediction summary file lists them.
+_SUMMARY_FIELDS = (
+    "mean_um", "p2_5_um", "p50_um", "p97_5_um", "no_pore_mass", "overflow_mass",
+    "n_samples_total", "nodes_per_axis", "cdf_precision",
+)
 # Elements per block of (scale, shape) nodes x diameters: bounds the engine's
 # temporaries at about 512 kB each.
 _CHUNK_ELEMENTS = 1 << 16
@@ -219,104 +226,70 @@ def largest_quantile_closed(params: GpdParams, n_pores, p) -> np.ndarray | float
 class LargestPoreDistribution:
     """Histogram approximation of the largest-pore distribution.
 
-    Carries the binned probability mass, the CDF at the bin edges, the
-    point mass at "no pores" (diameter 0), the residual mass beyond the top
-    edge, and summary statistics. The mean is that of the histogram: bin
-    masses at their midpoints, the overflow mass at the top edge and "no
-    pores" at 0, so it stays finite when the tail's own mean does not exist
-    (shape >= 1). n_samples_total is the number of (scale, shape) nodes
-    the engine integrated over, nodes_per_axis the size of its rule, and
-    cdf_precision the largest difference between the CDFs of that rule and
-    the one with half the nodes per axis, at the edges and at log-spaced
-    diameters below the top edge (0 when the parameters are pinned).
+    Given by the CDF at the bin edges: its value at the lowest edge is the
+    point mass at "no pores" (diameter 0), and 1 minus its value at the top
+    edge the residual mass beyond that edge. The bin masses, mean and
+    percentiles are derived from it on construction. The mean is that of
+    the histogram: bin masses at their midpoints, the overflow mass at the
+    top edge and "no pores" at 0, so it stays finite when the tail's own
+    mean does not exist (shape >= 1). n_samples_total is the number of
+    (scale, shape) nodes the engine integrated over, nodes_per_axis the
+    size of its rule, and cdf_precision the largest difference between the
+    CDFs of that rule and the one with half the nodes per axis, at the
+    edges and at log-spaced diameters below the top edge (0 when the
+    parameters are pinned).
     """
 
     bin_edges_um: np.ndarray
-    pdf_mass: np.ndarray
     cdf_at_edges: np.ndarray
-    no_pore_mass: float
-    overflow_mass: float
-    mean_um: float
-    p2_5_um: float
-    p50_um: float
-    p97_5_um: float
-    n_samples_total: int
+    n_samples_total: int = 0
     provenance: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     cdf_precision: float = 0.0
     nodes_per_axis: int = 1
+    pdf_mass: np.ndarray = field(init=False)
+    no_pore_mass: float = field(init=False)
+    overflow_mass: float = field(init=False)
+    mean_um: float = field(init=False)
+    p2_5_um: float = field(init=False)
+    p50_um: float = field(init=False)
+    p97_5_um: float = field(init=False)
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.bin_edges_um, dtype=float)
-        pdf = np.asarray(self.pdf_mass, dtype=float)
         cdf = np.asarray(self.cdf_at_edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError("bin edges must be strictly increasing")
-        if pdf.size != edges.size - 1 or cdf.size != edges.size:
-            raise ValueError("pdf/cdf sizes inconsistent with edges")
-        if np.any(pdf < -1e-15):
-            raise ValueError("pdf mass must be nonnegative")
-        if np.any(np.diff(cdf) < -1e-12):
-            raise ValueError("cdf must be nondecreasing")
-        if abs(cdf[-1] + self.overflow_mass - 1.0) > 1e-6:
-            raise ValueError("cdf at last edge plus residual tail mass must be 1")
-        if abs(pdf.sum() + self.overflow_mass - (1.0 - self.no_pore_mass)) > 1e-6:
-            raise ValueError("pdf mass must sum to 1 minus the no-pore mass")
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("bin edges must be finite")
+        if cdf.shape != edges.shape:
+            raise ValueError("cdf size inconsistent with edges")
+        pdf = np.diff(cdf)
+        if not (np.all(pdf >= 0.0) and cdf[0] >= 0.0 and cdf[-1] <= 1.0):
+            raise ValueError("cdf must be nondecreasing within [0, 1]")
+        overflow = 1.0 - float(cdf[-1])
         for name, value in (("bin_edges_um", edges), ("pdf_mass", pdf), ("cdf_at_edges", cdf)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "no_pore_mass", float(cdf[0]))
+        object.__setattr__(self, "overflow_mass", overflow)
+        object.__setattr__(self, "mean_um", float(pdf @ self.midpoints_um + overflow * edges[-1]))
+        for name, value in zip(("p2_5_um", "p50_um", "p97_5_um"), self.quantile(_PERCENTILES)):
+            object.__setattr__(self, name, float(value))
 
     @classmethod
     def from_masses(
         cls, bin_edges_um, pdf_mass, *, no_pore_mass: float = 0.0, **kwargs
     ) -> "LargestPoreDistribution":
-        """Build a distribution from bin masses; see from_cdf."""
+        """Build a distribution from the no-pore mass and the bin masses; the
+        mass they leave lies beyond the top edge, none if they sum to 1
+        within rounding (1e-12)."""
         pdf = np.asarray(pdf_mass, dtype=float)
         cdf = np.concatenate([[no_pore_mass], no_pore_mass + np.cumsum(pdf)])
-        return cls.from_cdf(bin_edges_um, cdf, **kwargs)
-
-    @classmethod
-    def from_cdf(
-        cls,
-        bin_edges_um,
-        cdf_at_edges,
-        *,
-        overflow_mass: float = 0.0,
-        mean_um: float | None = None,
-        n_samples_total: int = 0,
-        provenance: dict | None = None,
-        flags: tuple[str, ...] = (),
-        cdf_precision: float = 0.0,
-        nodes_per_axis: int = 1,
-    ) -> "LargestPoreDistribution":
-        """Build a distribution from the CDF at the bin edges, stored as given
-        (engine); the CDF at the lowest edge is the no-pore mass."""
-        edges = np.asarray(bin_edges_um, dtype=float)
-        cdf = np.asarray(cdf_at_edges, dtype=float)
-        pdf = np.diff(cdf)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        if mean_um is None:
-            mean_um = float(pdf @ mids + overflow_mass * edges[-1])
-        dist = cls(
-            bin_edges_um=edges,
-            pdf_mass=pdf,
-            cdf_at_edges=cdf,
-            no_pore_mass=float(cdf[0]),
-            overflow_mass=float(overflow_mass),
-            mean_um=float(mean_um),
-            p2_5_um=np.nan,
-            p50_um=np.nan,
-            p97_5_um=np.nan,
-            n_samples_total=n_samples_total,
-            provenance=provenance or {},
-            flags=flags,
-            cdf_precision=float(cdf_precision),
-            nodes_per_axis=nodes_per_axis,
-        )
-        object.__setattr__(dist, "p2_5_um", dist.quantile(0.025))
-        object.__setattr__(dist, "p50_um", dist.quantile(0.5))
-        object.__setattr__(dist, "p97_5_um", dist.quantile(0.975))
-        return dist
+        if abs(cdf[-1] - 1.0) <= 1e-12:
+            cdf = np.minimum(cdf, 1.0)
+            cdf[-1] = 1.0
+        return cls(bin_edges_um, cdf, **kwargs)
 
     @property
     def midpoints_um(self) -> np.ndarray:
@@ -325,68 +298,47 @@ class LargestPoreDistribution:
     def knots(self) -> np.ndarray:
         return np.unique(np.concatenate([[0.0], self.bin_edges_um]))
 
+    def _interp(self, x, at_zero) -> np.ndarray | float:
+        x_arr = np.asarray(x, dtype=float)
+        out = np.interp(x_arr, self.bin_edges_um, self.cdf_at_edges)
+        out = np.where(at_zero(x_arr, 0.0), 0.0, out)
+        return float(out) if np.ndim(x) == 0 else out
+
     def cdf(self, x) -> np.ndarray | float:
         """CDF with the no-pore atom at 0 and linear interpolation in bins.
 
         Beyond the top edge the overflow location is unknown, so the CDF
         plateaus at 1 - overflow_mass there.
         """
-        x_arr = np.asarray(x, dtype=float)
-        out = np.interp(x_arr, self.bin_edges_um, self.cdf_at_edges)
-        out = np.where(x_arr < 0.0, 0.0, out)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return self._interp(x, np.less)
 
     def cdf_left(self, x) -> np.ndarray | float:
         """Left limit of the CDF (differs from cdf only at the atom at 0)."""
-        x_arr = np.asarray(x, dtype=float)
-        out = np.interp(x_arr, self.bin_edges_um, self.cdf_at_edges)
-        out = np.where(x_arr <= 0.0, 0.0, out)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return self._interp(x, np.less_equal)
 
-    def quantile(self, t: float) -> float:
-        """Inverse CDF; fractions inside the no-pore atom map to 0."""
-        if not 0.0 <= t <= 1.0:
+    def quantile(self, t) -> np.ndarray | float:
+        """Inverse CDF, linear in bins; fractions inside the no-pore atom map
+        to 0 and those in the overflow mass to the top edge."""
+        t_arr = np.asarray(t, dtype=float)
+        if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
             raise ValueError("t must lie in [0, 1]")
-        cdf = self.cdf_at_edges
-        if t <= self.no_pore_mass:
-            return 0.0
-        if t > cdf[-1]:
-            return float(self.bin_edges_um[-1])
-        j = int(np.searchsorted(cdf, t, side="left"))
-        j = max(j, 1)
+        cdf, edges = self.cdf_at_edges, self.bin_edges_um
+        j = np.clip(np.searchsorted(cdf, t_arr, side="left"), 1, edges.size - 1)
         denom = cdf[j] - cdf[j - 1]
-        frac = (t - cdf[j - 1]) / denom if denom > 0 else 1.0
-        width = self.bin_edges_um[j] - self.bin_edges_um[j - 1]
-        return float(self.bin_edges_um[j - 1] + frac * width)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(denom > 0, (t_arr - cdf[j - 1]) / denom, 1.0)
+        out = edges[j - 1] + frac * (edges[j] - edges[j - 1])
+        out = np.where(t_arr > cdf[-1], edges[-1], out)
+        out = np.where(t_arr <= self.no_pore_mass, 0.0, out)
+        return float(out) if np.ndim(t) == 0 else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF draws; overflow mass collapses to the top edge."""
-        u = rng.random(n)
-        cdf = self.cdf_at_edges
-        edges = self.bin_edges_um
-        j = np.clip(np.searchsorted(cdf, u, side="left"), 1, edges.size - 1)
-        denom = cdf[j] - cdf[j - 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(denom > 0, (u - cdf[j - 1]) / denom, 1.0)
-        frac = np.clip(frac, 0.0, 1.0)
-        out = edges[j - 1] + frac * (edges[j] - edges[j - 1])
-        return np.where(u <= self.no_pore_mass, 0.0, out)
+        return self.quantile(rng.random(n))
 
     def summary(self) -> dict:
-        return {
-            "mean_um": self.mean_um,
-            "p2_5_um": self.p2_5_um,
-            "p50_um": self.p50_um,
-            "p97_5_um": self.p97_5_um,
-            "no_pore_mass": self.no_pore_mass,
-            "overflow_mass": self.overflow_mass,
-            "cdf_precision": self.cdf_precision,
-            "nodes_per_axis": self.nodes_per_axis,
-        }
+        """Summary statistics and rule size, in the prediction summary's order."""
+        return {name: getattr(self, name) for name in _SUMMARY_FIELDS}
 
 
 def _param_rule(fit: TailFit, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -607,10 +559,9 @@ def sample_largest(
         flags.append(FLAG_EMPTY_FALLBACK)
         warnings.warn(FLAG_EMPTY_FALLBACK, stacklevel=2)
 
-    return LargestPoreDistribution.from_cdf(
+    return LargestPoreDistribution(
         edges,
         at_edges,
-        overflow_mass=1.0 - float(at_edges[-1]),
         n_samples_total=cdf.sigma.size,
         provenance={
             "fit_id": fit.fit_id,
@@ -628,33 +579,14 @@ def sample_largest(
     )
 
 
-@dataclass(frozen=True)
-class VolumePoint:
-    """Largest-pore summary at one volume of a sweep, with its CDF's precision and flags."""
-
-    volume_mm3: float
-    mean_um: float
-    p2_5_um: float
-    p50_um: float
-    p97_5_um: float
-    no_pore_mass: float
-    cdf_precision: float
-    nodes_per_axis: int
-    flags: tuple[str, ...]
-
-
 def volume_sweep(
-    fit: TailFit,
-    volumes_mm3: Sequence[float],
-    config: McConfig,
-    *,
-    workers: int = 1,
-) -> list[VolumePoint]:
-    """Largest-pore summaries over an ascending ladder of volumes.
+    fit: TailFit, volumes_mm3: Sequence[float], config: McConfig
+) -> list[LargestPoreDistribution]:
+    """Largest-pore distributions over an ascending ladder of volumes.
 
     Every volume starts from the same (scale, shape) nodes and refines
-    them on its own, so a single-volume sweep reproduces sample_largest
-    exactly. `workers` is accepted and ignored.
+    them on its own, so each distribution is the one sample_largest
+    returns at that volume.
     """
     vols = list(volumes_mm3)
     if not vols:
@@ -663,20 +595,4 @@ def volume_sweep(
         raise ValueError("volumes must be positive")
     if any(b <= a for a, b in zip(vols, vols[1:])):
         raise ValueError("volumes must be strictly ascending")
-    points = []
-    for volume in vols:
-        dist = sample_largest(fit, VolumeOfInterest(volume), config)
-        points.append(
-            VolumePoint(
-                volume_mm3=volume,
-                mean_um=dist.mean_um,
-                p2_5_um=dist.p2_5_um,
-                p50_um=dist.p50_um,
-                p97_5_um=dist.p97_5_um,
-                no_pore_mass=dist.no_pore_mass,
-                cdf_precision=dist.cdf_precision,
-                nodes_per_axis=dist.nodes_per_axis,
-                flags=dist.flags,
-            )
-        )
-    return points
+    return [sample_largest(fit, VolumeOfInterest(volume), config) for volume in vols]

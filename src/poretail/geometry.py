@@ -285,12 +285,13 @@ def _row_columns(rows: list[list[str]], index: Mapping[str, int]) -> dict[str, l
 def _csv_columns(text: str) -> dict[str, list[str]]:
     """Measured columns of a table with quoted cells, read with csv.reader."""
     reader = csv.reader(dropwhile(_is_preamble, io.StringIO(text, newline="")))
+    rows: list[list[str]] = []
     try:
-        index = _measured_index(next(reader, None))
-        rows = [row for row in reader if row]
+        # rows read before a malformed one stay, so it is row len(rows) + 1
+        rows.extend(filter(None, reader))
     except csv.Error as exc:
-        raise IngestError(f"row {reader.line_num}: {exc}") from None
-    return _row_columns(rows, index)
+        raise IngestError(f"row {len(rows) + 1}: {exc}") from None
+    return _row_columns(rows[1:], _measured_index(rows[0] if rows else None))
 
 
 def _table_columns(pore_table: IO[str]) -> dict[str, list[str]]:

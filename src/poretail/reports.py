@@ -207,19 +207,9 @@ def write_prediction(
     items: list[tuple[str, object]] = [
         ("format", PREDICTION_FORMAT),
         ("toolkit_version", __version__),
-    ]
-    items += list(stamp.items())
-    items += [(key, value) for key, value in dist.provenance.items()]
-    items += [
-        ("mean_um", dist.mean_um),
-        ("p2_5_um", dist.p2_5_um),
-        ("p50_um", dist.p50_um),
-        ("p97_5_um", dist.p97_5_um),
-        ("no_pore_mass", dist.no_pore_mass),
-        ("overflow_mass", dist.overflow_mass),
-        ("n_samples_total", dist.n_samples_total),
-        ("nodes_per_axis", dist.nodes_per_axis),
-        ("cdf_precision", dist.cdf_precision),
+        *stamp.items(),
+        *dist.provenance.items(),
+        *dist.summary().items(),
         ("dist_flags", "|".join(dist.flags)),
     ]
     with open(summary_path, "w", encoding="utf-8") as handle:
@@ -227,55 +217,68 @@ def write_prediction(
     return cdf_path, summary_path
 
 
+def _read_cdf_table(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and CDF values of a prediction's CDF table; its header is row 1."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line for line in map(str.strip, handle) if line and not line.startswith("#")]
+    if lines and lines[0].split(",")[:2] != ["edge_um", "cdf"]:
+        raise ReportParseError(f"{path}: unexpected columns {lines[0].split(',')}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        try:
+            rows.append((float(cells[0]), float(cells[1])))
+        except (IndexError, ValueError):
+            raise ReportParseError(
+                f"{path}: row {number}: expected 'edge_um,cdf', got {line!r}"
+            ) from None
+    if len(rows) < 2:
+        raise ReportParseError(f"{path}: no CDF rows")
+    edges, cdf = map(np.array, zip(*rows))
+    return edges, cdf
+
+
 def read_prediction(prefix: str | Path) -> LargestPoreDistribution:
-    """Rebuild a distribution from the CDF table and summary pair."""
+    """Rebuild a distribution from its CDF table.
+
+    The summary supplies the provenance, flags and rule size. Each summary
+    statistic it holds must read as the one derived from the table (as
+    write_prediction writes it).
+    """
     cdf_path, summary_path = prediction_paths(prefix)
     summary = _read_keyvalues(summary_path)
     if summary.get("format") != PREDICTION_FORMAT:
         raise ReportParseError(f"{summary_path}: not a {PREDICTION_FORMAT} summary")
-    edges = []
-    cdf = []
-    with open(cdf_path, "r", encoding="utf-8") as handle:
-        header = None
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[:2] != ["edge_um", "cdf"]:
-                    raise ReportParseError(f"{cdf_path}: unexpected columns {header}")
-                continue
-            cells = line.split(",")
-            edges.append(float(cells[0]))
-            cdf.append(float(cells[1]))
-    if header is None or len(edges) < 2:
-        raise ReportParseError(f"{cdf_path}: no CDF rows")
-    edges_arr = np.array(edges)
-    cdf_arr = np.array(cdf)
+    edges, cdf = _read_cdf_table(cdf_path)
+    provenance = {
+        key: summary[key]
+        for key in ("fit_id", "volume_mm3", "uncertainty_mode", "seed")
+        if key in summary
+    }
+    try:
+        if "volume_mm3" in provenance:
+            provenance["volume_mm3"] = float(provenance["volume_mm3"])
+        n_samples_total = int(summary.get("n_samples_total", 0))
+        cdf_precision = float(summary.get("cdf_precision", 0.0))
+        nodes_per_axis = int(summary.get("nodes_per_axis", 1))
+    except ValueError as exc:
+        raise ReportParseError(f"{summary_path}: {exc}") from exc
     try:
         dist = LargestPoreDistribution(
-            bin_edges_um=edges_arr,
-            pdf_mass=np.diff(cdf_arr),
-            cdf_at_edges=cdf_arr,
-            no_pore_mass=float(summary["no_pore_mass"]),
-            overflow_mass=float(summary["overflow_mass"]),
-            mean_um=float(summary["mean_um"]),
-            p2_5_um=float(summary["p2_5_um"]),
-            p50_um=float(summary["p50_um"]),
-            p97_5_um=float(summary["p97_5_um"]),
-            n_samples_total=int(summary.get("n_samples_total", 0)),
-            provenance={
-                key: summary[key]
-                for key in ("fit_id", "volume_mm3", "uncertainty_mode", "seed")
-                if key in summary
-            },
+            edges,
+            cdf,
+            n_samples_total=n_samples_total,
+            provenance=provenance,
             flags=tuple(f for f in summary.get("dist_flags", "").split("|") if f),
-            cdf_precision=float(summary.get("cdf_precision", 0.0)),
-            nodes_per_axis=int(summary.get("nodes_per_axis", 1)),
+            cdf_precision=cdf_precision,
+            nodes_per_axis=nodes_per_axis,
         )
-    except (KeyError, ValueError) as exc:
-        raise ReportParseError(f"{summary_path}: {exc}") from exc
-    if "volume_mm3" in dist.provenance:
-        dist.provenance["volume_mm3"] = float(dist.provenance["volume_mm3"])
+    except ValueError as exc:
+        raise ReportParseError(f"{cdf_path}: {exc}") from exc
+    for key, derived in dist.summary().items():
+        if key in summary and summary[key] != fmt(derived):
+            raise ReportParseError(
+                f"{summary_path}: {key} = {summary[key]} is not {fmt(derived)}, "
+                f"the value derived from {cdf_path.name}"
+            )
     return dist

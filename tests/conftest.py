@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,23 @@ def synthetic_fit(
         n_exceed=n_exceed,
         fit_id=fit_id,
         lambda_above_per_mm3=lam_above,
-        lambda_above_se=float(np.sqrt(lam_above / n_exceed)),
+        lambda_above_se=lam_above / float(np.sqrt(n_exceed)),
         lambda_below_per_mm3=lam_below,
-        lambda_below_se=float(np.sqrt(lam_below / max(n_below, 1))),
+        lambda_below_se=lam_below / float(np.sqrt(max(n_below, 1))),
         empirical_below_um=emp,
     )
+
+
+def differing_fields(one, other, skip=()):
+    """Names of the dataclass fields on which two objects differ; arrays
+    compare by their bytes."""
+    out = []
+    for f in dataclasses.fields(one):
+        a, b = getattr(one, f.name), getattr(other, f.name)
+        same = a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+        if f.name not in skip and not same:
+            out.append(f.name)
+    return out
 
 
 @pytest.fixture

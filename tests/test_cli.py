@@ -9,9 +9,15 @@ import pytest
 
 import poretail
 from poretail.cli import main
-from poretail.reports import read_fit_report, read_prediction, write_fit_report, write_prediction
+from poretail.reports import (
+    ReportParseError,
+    read_fit_report,
+    read_prediction,
+    write_fit_report,
+    write_prediction,
+)
 
-from conftest import synthetic_fit
+from conftest import differing_fields, synthetic_fit
 
 TRUTH_FLAGS = [
     "--threshold", "20", "--sigma", "3", "--xi", "0.1",
@@ -308,6 +314,45 @@ class TestCompare:
         assert len(out.read_text().splitlines()) == 4
 
 
+    @staticmethod
+    def copied_prediction(workspace, tmp_path):
+        for suffix in ("_cdf.csv", "_summary.txt"):
+            (tmp_path / f"pred{suffix}").write_bytes((workspace / "run" / f"pred{suffix}").read_bytes())
+        return tmp_path / "pred"
+
+    @pytest.mark.parametrize("key", ["mean_um", "p97_5_um"])
+    def test_edited_summary_statistic_is_data_error(self, workspace, tmp_path, capsys, key):
+        prefix = self.copied_prediction(workspace, tmp_path)
+        summary = tmp_path / "pred_summary.txt"
+        lines = summary.read_text().splitlines(keepends=True)
+        lines = [f"{key} = 1000000000.0\n" if l.startswith(f"{key} = ") else l for l in lines]
+        summary.write_text("".join(lines))
+        with pytest.raises(ReportParseError, match=rf"{key} = 1000000000.0 is not "):
+            read_prediction(prefix)
+        code = main(["compare", "--prediction", str(prefix), "--observed", "41.3",
+                     "--output", str(tmp_path / "eq.csv")])
+        assert code == 2
+        assert f"data error: {summary}: {key} = 1000000000.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["12.5", "abc,0.5"])
+    def test_malformed_cdf_row_is_data_error(self, workspace, tmp_path, capsys, row):
+        prefix = self.copied_prediction(workspace, tmp_path)
+        table = tmp_path / "pred_cdf.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        header = lines.index("edge_um,cdf\n")
+        lines[header + 2] = row + "\n"  # the second data row: row 3, below the header
+        table.write_text("".join(lines))
+        code = main(["compare", "--prediction", str(prefix), "--observed", "41.3",
+                     "--output", str(tmp_path / "eq.csv")])
+        assert code == 2
+        assert f"data error: {table}: row 3: expected 'edge_um,cdf', got {row!r}" in capsys.readouterr().err
+
+    def test_missing_prediction_is_usage_error(self, tmp_path, capsys):
+        code = main(["compare", "--prediction", str(tmp_path / "nope"), "--observed", "41.3",
+                     "--output", str(tmp_path / "eq.csv")])
+        assert code == 1
+        assert f"usage error: input path not resolvable: {tmp_path / 'nope_cdf.csv'}" in capsys.readouterr().err
+
     def test_text_cells_are_quoted(self, tmp_path):
         fit_path = tmp_path / "fit.txt"
         write_fit_report(synthetic_fit(fit_id='A,"B"@20um'), fit_path)
@@ -448,6 +493,21 @@ class TestReportRoundTrips:
         assert back.flags == dist.flags
         assert back.summary() == dist.summary()
         assert back.cdf_at_edges.tobytes() == dist.cdf_at_edges.tobytes()
+
+    @pytest.mark.parametrize("mode", ["none", "poisson_only", "all"])
+    def test_prediction_round_trip_field_for_field(self, tmp_path, mode):
+        import poretail as pt
+
+        dist = pt.sample_largest(synthetic_fit(), pt.VolumeOfInterest(2.0),
+                                 pt.McConfig(seed=1, histogram_bins=64, uncertainty_mode=mode))
+        _, summary_path = write_prediction(dist, tmp_path / "pred", provenance={"seed": 1})
+        back = read_prediction(tmp_path / "pred")
+        assert differing_fields(back, dist, skip=("provenance",)) == []
+        for key in ("fit_id", "volume_mm3", "uncertainty_mode"):
+            assert back.provenance[key] == dist.provenance[key]
+        # the summary file ends with summary() in its order, then the flags
+        keys = [line.split(" = ")[0] for line in summary_path.read_text().splitlines()]
+        assert keys[-len(dist.summary()) - 1:] == [*dist.summary(), "dist_flags"]
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 1

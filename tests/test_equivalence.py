@@ -42,9 +42,8 @@ class TestQValue:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_above_range_reports_floor_with_warning(self):
-        edges = np.linspace(0.0, 1.0, 101)
-        pdf = np.full(100, 0.99 / 100)
-        dist = LargestPoreDistribution.from_masses(edges, pdf, overflow_mass=0.01)
+        # 0.01 of the mass lies beyond the top edge
+        dist = LargestPoreDistribution(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 0.99, 101))
         with pytest.warns(UserWarning, match="above histogram range"):
             value = q_value(dist, 2.0)
         assert value == pytest.approx(0.99)

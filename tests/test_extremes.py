@@ -23,7 +23,7 @@ from poretail.geometry import SpecimenDataset, sphere_surface_area
 from poretail.gpd import GpdParams
 from poretail.synthetic import brute_force_fit_largest
 
-from conftest import synthetic_fit
+from conftest import differing_fields, synthetic_fit
 
 
 class TestClosedForms:
@@ -464,18 +464,58 @@ class TestDistributionObject:
                 [0.0, 1.0, 2.0], [0.5, 0.4], no_pore_mass=0.5
             )
 
+    def test_summaries_derive_from_the_cdf(self):
+        edges = np.array([1.0, 2.0, 4.0])
+        dist = LargestPoreDistribution(edges, np.array([0.25, 0.5, 0.75]))
+        assert dist.no_pore_mass == 0.25 and dist.overflow_mass == 0.25
+        assert dist.pdf_mass.tolist() == [0.25, 0.25]
+        assert dist.mean_um == 0.25 * 1.5 + 0.25 * 3.0 + 0.25 * 4.0
+        assert (dist.p2_5_um, dist.p50_um, dist.p97_5_um) == (0.0, 2.0, 4.0)
+        for name in ("bin_edges_um", "cdf_at_edges", "pdf_mass"):
+            assert not getattr(dist, name).flags.writeable
+
+    def test_overflow_fractions_map_to_the_top_edge_exactly(self):
+        # 0.2 + 1.0 * (0.9 - 0.2) rounds to 0.9000000000000001
+        dist = LargestPoreDistribution(np.array([0.0, 0.2, 0.9]), np.array([0.0, 0.5, 0.9]))
+        assert dist.quantile(0.95) == dist.quantile(1.0) == 0.9
+        draws = dist.sample(200, np.random.default_rng(0))
+        assert draws.max() == 0.9
+
+    def test_quantile_matches_a_per_fraction_reference(self, basic_fit):
+        def reference(dist, t):
+            cdf, edges = dist.cdf_at_edges, dist.bin_edges_um
+            if t <= cdf[0]:
+                return 0.0
+            if t > cdf[-1]:
+                return float(edges[-1])
+            j = int(np.searchsorted(cdf, t, side="left"))
+            denom = cdf[j] - cdf[j - 1]
+            frac = (t - cdf[j - 1]) / denom if denom > 0 else 1.0
+            return float(edges[j - 1] + frac * (edges[j] - edges[j - 1]))
+
+        # no sub-threshold pores: a no-pore mass of P(N = 0), about 0.6, and
+        # 1e-5 of the mass beyond the top edge
+        cfg = McConfig(seed=1, histogram_bins=64, uncertainty_mode="poisson_only")
+        with pytest.warns(UserWarning, match=extremes.FLAG_EMPTY_FALLBACK):
+            dist = sample_largest(replace(basic_fit, empirical_below_um=np.empty(0)),
+                                  VolumeOfInterest(0.5), cfg)
+        t = np.concatenate([[0.0, dist.no_pore_mass, 1.0 - 1e-6, 1.0], dist.cdf_at_edges,
+                            np.random.default_rng(2).random(500)])
+        assert dist.quantile(t).tolist() == [reference(dist, x) for x in t]
+        with pytest.raises(ValueError, match="t must lie"):
+            dist.quantile(np.array([0.5, 1.5]))
+
+    def test_masses_summing_to_one_leave_no_overflow(self):
+        for masses in ([0.1] * 10, [1.0 / 400] * 400, [0.7, 0.2, 0.1]):
+            dist = LargestPoreDistribution.from_masses(np.arange(len(masses) + 1.0), masses)
+            assert dist.overflow_mass == 0.0
+            assert dist.cdf_at_edges[-1] == 1.0
+
     def test_invariant_validation_rejects_bad_cdf(self):
         with pytest.raises(ValueError):
             LargestPoreDistribution(
                 bin_edges_um=np.array([0.0, 1.0]),
-                pdf_mass=np.array([1.0]),
                 cdf_at_edges=np.array([0.5, 0.2]),
-                no_pore_mass=0.0,
-                overflow_mass=0.0,
-                mean_um=0.5,
-                p2_5_um=0.1,
-                p50_um=0.5,
-                p97_5_um=0.9,
                 n_samples_total=10,
             )
 
@@ -489,13 +529,21 @@ class TestVolumeSweep:
         assert points[0].mean_um == direct.mean_um
         assert points[0].p97_5_um == direct.p97_5_um
 
+    @pytest.mark.parametrize("mode", ["none", "poisson_only", "all"])
+    def test_returns_the_sample_largest_distributions(self, basic_fit, mode):
+        cfg = McConfig(seed=5, histogram_bins=128, uncertainty_mode=mode)
+        volumes = [0.2, 3.0, 50.0]
+        for volume, dist in zip(volumes, volume_sweep(basic_fit, volumes, cfg), strict=True):
+            direct = sample_largest(basic_fit, VolumeOfInterest(volume), cfg)
+            assert differing_fields(dist, direct) == []
+
     def test_points_carry_precision_nodes_and_flags(self):
         # the heavy-tail probe: each volume's rule hits the node cap, as in predict
         fit = synthetic_fit(shape=0.9, n_exceed=30)
         cfg = McConfig(seed=1, histogram_bins=64, uncertainty_mode="all")
         points = volume_sweep(fit, [10.0, 100.0], cfg)
-        for point in points:
-            direct = sample_largest(fit, VolumeOfInterest(point.volume_mm3), cfg)
+        for volume, point in zip([10.0, 100.0], points):
+            direct = sample_largest(fit, VolumeOfInterest(volume), cfg)
             assert point.cdf_precision == direct.cdf_precision > 1e-4
             assert point.nodes_per_axis == direct.nodes_per_axis == 64
             assert point.flags == direct.flags

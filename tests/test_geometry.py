@@ -627,6 +627,17 @@ def test_overlong_quoted_cell_names_row():
     assert csv.field_size_limit() == limit
 
 
+def test_csv_error_counts_rows_not_lines():
+    # a blank line below the header and a two-line quoted id: the third
+    # pore is still row 3, however many lines lie above it
+    head = WELL_FORMED.split("\n", 1)[0] + '\n\n"p\n1",523598.776,31415.927,95.0,105.0\n'
+    long_id = '"' + "x" * (csv.field_size_limit() + 10) + '"'
+    with pytest.raises(IngestError, match=r"^row 3: field larger than field limit"):
+        make_dataset(head + long_id + ",15.625,30.0,2.5,5.0\n")
+    with pytest.raises(IngestError, match=r"^row 3, column volume_um3: could not parse"):
+        make_dataset(head + '"p2",abc,30.0,2.5,5.0\n')
+
+
 def test_undecodable_bytes_name_offset(tmp_path):
     table = tmp_path / "latin1.csv"
     table.write_bytes(b"\xef\xbb\xbf" + WELL_FORMED.replace("p2", "p\xe92").encode("latin-1"))
