@@ -256,8 +256,9 @@ class LargestPoreDistribution:
     p97_5_um: float = field(init=False)
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges_um, dtype=float)
-        cdf = np.asarray(self.cdf_at_edges, dtype=float)
+        # copies, so that marking them read-only leaves the caller's arrays alone
+        edges = np.array(self.bin_edges_um, dtype=float)
+        cdf = np.array(self.cdf_at_edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError("bin edges must be strictly increasing")
         if not np.all(np.isfinite(edges)):

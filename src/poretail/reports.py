@@ -15,7 +15,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .extremes import LargestPoreDistribution
+from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution
 from .geometry import _quote_cell
 from .gpd import GpdParams, TailFit
 
@@ -238,26 +238,36 @@ def _read_cdf_table(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return edges, cdf
 
 
+# summary keys that are not provenance, and the provenance that is not text
+_NOT_PROVENANCE = frozenset(("format", "toolkit_version", "dist_flags", *_SUMMARY_FIELDS))
+_TYPED_PROVENANCE = {
+    "volume_mm3": float,
+    "seed": int,
+    "histogram_bins": int,
+    "n_count_samples": int,
+    "n_param_samples": int,
+    "n_p_samples": int,
+}
+
+
 def read_prediction(prefix: str | Path) -> LargestPoreDistribution:
     """Rebuild a distribution from its CDF table.
 
-    The summary supplies the provenance, flags and rule size. Each summary
-    statistic it holds must read as the one derived from the table (as
-    write_prediction writes it).
+    The summary supplies the provenance (every key but the format, the
+    version, the flags and the summary statistics), the flags and the rule
+    size. Each summary statistic it holds must read as the one derived from
+    the table (as write_prediction writes it).
     """
     cdf_path, summary_path = prediction_paths(prefix)
     summary = _read_keyvalues(summary_path)
     if summary.get("format") != PREDICTION_FORMAT:
         raise ReportParseError(f"{summary_path}: not a {PREDICTION_FORMAT} summary")
     edges, cdf = _read_cdf_table(cdf_path)
-    provenance = {
-        key: summary[key]
-        for key in ("fit_id", "volume_mm3", "uncertainty_mode", "seed")
-        if key in summary
-    }
+    provenance = {key: value for key, value in summary.items() if key not in _NOT_PROVENANCE}
     try:
-        if "volume_mm3" in provenance:
-            provenance["volume_mm3"] = float(provenance["volume_mm3"])
+        for key, kind in _TYPED_PROVENANCE.items():
+            if key in provenance:
+                provenance[key] = kind(provenance[key])
         n_samples_total = int(summary.get("n_samples_total", 0))
         cdf_precision = float(summary.get("cdf_precision", 0.0))
         nodes_per_axis = int(summary.get("nodes_per_axis", 1))

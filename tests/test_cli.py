@@ -502,9 +502,7 @@ class TestReportRoundTrips:
                                  pt.McConfig(seed=1, histogram_bins=64, uncertainty_mode=mode))
         _, summary_path = write_prediction(dist, tmp_path / "pred", provenance={"seed": 1})
         back = read_prediction(tmp_path / "pred")
-        assert differing_fields(back, dist, skip=("provenance",)) == []
-        for key in ("fit_id", "volume_mm3", "uncertainty_mode"):
-            assert back.provenance[key] == dist.provenance[key]
+        assert differing_fields(back, dist) == []
         # the summary file ends with summary() in its order, then the flags
         keys = [line.split(" = ")[0] for line in summary_path.read_text().splitlines()]
         assert keys[-len(dist.summary()) - 1:] == [*dist.summary(), "dist_flags"]
@@ -528,6 +526,17 @@ def test_version_matches_pyproject():
         assert tomllib.load(handle)["project"]["version"] == poretail.__version__
 
 
+def run_probe(source, *args):
+    """Lines printed by source run in a fresh interpreter that imports this
+    checkout's poretail."""
+    src = str(Path(poretail.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", source, *map(str, args)],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.splitlines()
+
+
 STARTUP_PROBE = """
 import sys
 import numpy as np
@@ -547,12 +556,25 @@ print(loaded())
 
 def test_heavy_scipy_subpackages_load_only_where_used():
     # every CLI command is a fresh interpreter that pays for what `import poretail` loads
-    src = str(Path(poretail.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True,
-                          text=True, env=env, check=True)
-    assert proc.stdout.splitlines() == ["[False, False]", "[True, False]", "[True, True]"]
+    assert run_probe(STARTUP_PROBE) == ["[False, False]", "[False, False]", "[True, True]"]
+
+
+FIT_PROBE = """
+import sys
+from poretail.cli import main
+
+table, out = sys.argv[1:]
+assert main(["fit", "--input", table, "--specimen-id", "S", "--scanned-volume", "20",
+             "--threshold-mode", "auto", "--out-dir", out, "--tag", "s"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_fit_starts_on_numpy_alone(tmp_path):
+    table = tmp_path / "pores.csv"
+    assert main(["simulate", *TRUTH_FLAGS[:-2], "--volume", "20", "--seed", "3",
+                 "--output", str(table)]) == 0
+    assert run_probe(FIT_PROBE, table, tmp_path)[-1] == "[]"
 
 
 SPECIAL_PROBE = """
@@ -586,9 +608,4 @@ def test_scipy_special_loads_only_for_the_engine_and_synthesis(tmp_path):
     )
     fit = tmp_path / "fit.txt"
     write_fit_report(synthetic_fit(), fit)
-    src = str(Path(poretail.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", SPECIAL_PROBE, str(table), str(fit),
-                           str(tmp_path)], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, True]"
+    assert run_probe(SPECIAL_PROBE, table, fit, tmp_path)[-1] == "[False, False, False, False, True]"

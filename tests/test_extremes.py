@@ -465,14 +465,17 @@ class TestDistributionObject:
             )
 
     def test_summaries_derive_from_the_cdf(self):
-        edges = np.array([1.0, 2.0, 4.0])
-        dist = LargestPoreDistribution(edges, np.array([0.25, 0.5, 0.75]))
+        edges, cdf = np.array([1.0, 2.0, 4.0]), np.array([0.25, 0.5, 0.75])
+        dist = LargestPoreDistribution(edges, cdf)
         assert dist.no_pore_mass == 0.25 and dist.overflow_mass == 0.25
         assert dist.pdf_mass.tolist() == [0.25, 0.25]
         assert dist.mean_um == 0.25 * 1.5 + 0.25 * 3.0 + 0.25 * 4.0
         assert (dist.p2_5_um, dist.p50_um, dist.p97_5_um) == (0.0, 2.0, 4.0)
         for name in ("bin_edges_um", "cdf_at_edges", "pdf_mass"):
             assert not getattr(dist, name).flags.writeable
+        # the caller's arrays stay writable and apart from the distribution's
+        edges[0], cdf[0] = -1.0, 0.0
+        assert dist.bin_edges_um[0] == 1.0 and dist.cdf_at_edges[0] == 0.25
 
     def test_overflow_fractions_map_to_the_top_edge_exactly(self):
         # 0.2 + 1.0 * (0.9 - 0.2) rounds to 0.9000000000000001

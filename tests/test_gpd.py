@@ -3,9 +3,13 @@ import gc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import genpareto
 
 from poretail.gpd import (
+    _brentq,
+    _minimize_bounded,
+    _profile,
     FLAG_MLE_DOMAIN,
     FLAG_MOM_DOMAIN,
     FLAG_NO_VALID_DOMAIN,
@@ -225,6 +229,93 @@ class TestMle:
             calls.clear()
             fit_mle(simulate(0.1, n, n), 0.0)
             assert len(calls) <= 50, n
+
+
+def scipy_profile_search(ratio):
+    """fit_mle's bracket ends and bounded minimum, found with scipy's solvers."""
+
+    def bracket_end(shape_bound, w_far):
+        gap = lambda w: _profile(w, ratio)[1] - shape_bound
+        if gap(w_far) * gap(0.0) > 0.0:
+            return w_far
+        return brentq(gap, 0.0, w_far)
+
+    bounds = (bracket_end(-1.0, float(np.log(np.finfo(float).eps))), bracket_end(20.0, 700.0))
+    best = minimize_scalar(lambda w: gpd_nll(*_profile(w, ratio), ratio), bounds=bounds,
+                           method="bounded", options={"xatol": 1e-10})
+    return bounds, best
+
+
+@given(
+    shape=st.floats(min_value=-0.6, max_value=1.2),
+    n=st.integers(min_value=30, max_value=5000),
+    rounded=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_ported_solvers_match_scipy_bit_for_bit(shape, n, rounded, seed):
+    x = simulate(shape, n, seed, scale=2.0, threshold=10.0)
+    if rounded:
+        x = np.round(x, 2)
+    y = x - 10.0
+    ratio = y / y.max()
+    bounds, best = scipy_profile_search(ratio)
+    for shape_bound, w_far, end in ((-1.0, float(np.log(np.finfo(float).eps)), bounds[0]),
+                                    (20.0, 700.0, bounds[1])):
+        if end != w_far:
+            gap = lambda w: _profile(w, ratio)[1] - shape_bound
+            assert _brentq(gap, 0.0, w_far) == end
+    nll = lambda w: gpd_nll(*_profile(w, ratio), ratio)
+    assert _minimize_bounded(nll, *bounds) == (best.x, best.fun)
+    # fit_mle's own steps after the search, on scipy's minimum
+    scale, shape = _profile(best.x, ratio)
+    edge = (float(np.nextafter(1.0, 2.0)), -1.0)
+    if gpd_nll(*edge, ratio) < best.fun:
+        scale, shape = edge
+    fit = fit_mle(x, 10.0)
+    assert (fit.params.scale_um, fit.params.shape) == (scale * float(y.max()), shape)
+
+
+class TestSolvers:
+    # Toy functions that drive the ported solvers to the failures scipy
+    # reports, which a fit would otherwise raise as a traceback or ignore.
+    def test_root_search_out_of_iterations(self):
+        # a step has no slope to interpolate: bisection from 2e300 to 2e-12
+        # takes about 1000 steps
+        step = lambda x: -1.0 if x < 0.1 else 1.0
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(step, -1e300, 1e300)
+        with pytest.raises(FitError, match="did not converge in 100 iterations"):
+            _brentq(step, -1e300, 1e300)
+
+    def test_root_search_nan(self):
+        with pytest.raises(FitError, match="NaN"):
+            _brentq(lambda x: np.nan if x > 0.5 else -1.0, 0.0, 1.0)
+
+    def test_root_search_same_sign(self):
+        with pytest.raises(FitError, match="same sign"):
+            _brentq(lambda x: x + 1.0, 0.0, 1.0)
+
+    def test_root_search_matches_scipy_where_its_step_divides_by_zero(self):
+        # the extrapolation's denominator underflows to 0; C then takes an
+        # infinite step, which bisects
+        f = lambda x: 1e-160 * (x**3 - 0.1)
+        assert _brentq(f, 0.0, 1.0) == brentq(f, 0.0, 1.0)
+
+    def test_bounded_search_out_of_evaluations(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            best = minimize_scalar(abs, bounds=(-1e300, 1e300), method="bounded",
+                                   options={"xatol": 1e-10})
+        assert best.status == 1
+        with pytest.raises(FitError, match="did not converge in 500 evaluations"):
+            _minimize_bounded(abs, -1e300, 1e300)
+
+    def test_bounded_search_nan(self):
+        best = minimize_scalar(lambda x: np.nan, bounds=(0.0, 1.0), method="bounded",
+                               options={"xatol": 1e-10})
+        assert best.status == 2
+        with pytest.raises(FitError, match="NaN"):
+            _minimize_bounded(lambda x: np.nan, 0.0, 1.0)
 
 
 class TestMom:
