@@ -75,13 +75,14 @@ class CovarianceUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class VolumeOfInterest:
-    """Volume (mm^3) the largest-pore distribution is estimated for."""
+    """Volume (mm^3, finite and positive) the largest-pore distribution is
+    estimated for."""
 
     volume_mm3: float
 
     def __post_init__(self) -> None:
-        if not self.volume_mm3 > 0:
-            raise ValueError(f"volume must be positive, got {self.volume_mm3}")
+        if not 0 < self.volume_mm3 < np.inf:
+            raise ValueError(f"volume_mm3 must be finite and positive, got {self.volume_mm3}")
 
 
 @dataclass(frozen=True)
@@ -589,11 +590,9 @@ def volume_sweep(
     them on its own, so each distribution is the one sample_largest
     returns at that volume.
     """
-    vols = list(volumes_mm3)
-    if not vols:
+    vois = [VolumeOfInterest(volume) for volume in volumes_mm3]
+    if not vois:
         raise ValueError("volume list must not be empty")
-    if any(v <= 0 for v in vols):
-        raise ValueError("volumes must be positive")
-    if any(b <= a for a, b in zip(vols, vols[1:])):
+    if any(b.volume_mm3 <= a.volume_mm3 for a, b in zip(vois, vois[1:])):
         raise ValueError("volumes must be strictly ascending")
-    return [sample_largest(fit, VolumeOfInterest(volume), config) for volume in vols]
+    return [sample_largest(fit, voi, config) for voi in vois]

@@ -81,7 +81,7 @@ def write_table(
         dest.write(",".join(map(_table_cell, row)) + "\n")
 
 
-def _write_keyvalues(handle: IO[str], items: Sequence[tuple[str, object]]) -> None:
+def _write_keyvalues(handle: IO[str], items: Iterable[tuple[str, object]]) -> None:
     for key, value in items:
         handle.write(f"{key} = {fmt(value)}\n")
 
@@ -195,7 +195,12 @@ def write_prediction(
     prefix: str | Path,
     provenance: Mapping[str, object] | None = None,
 ) -> tuple[Path, Path]:
-    """Write a distribution as a CDF table plus a line-oriented summary."""
+    """Write a distribution as a CDF table plus a line-oriented summary.
+
+    The summary writes each key once, in the place it first takes among the
+    format and version, `provenance`, the distribution's own provenance and
+    its summary, with the last value given for it.
+    """
     cdf_path, summary_path = prediction_paths(prefix)
     stamp = dict(provenance or {})
     write_table(
@@ -204,16 +209,16 @@ def write_prediction(
         zip(dist.bin_edges_um, dist.cdf_at_edges),
         provenance=stamp,
     )
-    items: list[tuple[str, object]] = [
-        ("format", PREDICTION_FORMAT),
-        ("toolkit_version", __version__),
-        *stamp.items(),
-        *dist.provenance.items(),
-        *dist.summary().items(),
-        ("dist_flags", "|".join(dist.flags)),
-    ]
+    items = {
+        "format": PREDICTION_FORMAT,
+        "toolkit_version": __version__,
+        **stamp,
+        **dist.provenance,
+        **dist.summary(),
+        "dist_flags": "|".join(dist.flags),
+    }
     with open(summary_path, "w", encoding="utf-8") as handle:
-        _write_keyvalues(handle, items)
+        _write_keyvalues(handle, items.items())
     return cdf_path, summary_path
 
 

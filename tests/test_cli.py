@@ -1,5 +1,7 @@
+import configparser
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +195,24 @@ class TestFit:
                      "--threshold-mode", "manual", "--threshold", "3.0"])
         assert code == 3
 
+    def test_config_hash_covers_every_resolved_option(self, workspace, tmp_path):
+        def config_hash(tag, *flags):
+            assert main(["fit", "--input", str(workspace / "pores.csv"), "--specimen-id", "S",
+                         "--threshold-mode", "manual", "--threshold", "20",
+                         *flags, "--out-dir", str(tmp_path), "--tag", tag]) == 0
+            lines = (tmp_path / f"{tag}_fit.txt").read_text().splitlines()
+            return next(l for l in lines if l.startswith("config_sha256 = "))
+
+        base = ["--scanned-volume", "200", "--candidates", "20"]
+        assert config_hash("a", *base) == config_hash("b", *base)
+        hashes = {
+            config_hash("a", *base),
+            config_hash("v", "--scanned-volume", "400", "--candidates", "20"),
+            config_hash("c", "--scanned-volume", "200", "--candidates", "20,21"),
+            config_hash("g", *base, "--geometry-label", "4PB"),
+        }
+        assert len(hashes) == 4
+
     def test_manual_mode_requires_value(self, workspace, tmp_path):
         code = main(["fit", "--input", str(workspace / "pores.csv"),
                      "--specimen-id", "S", "--scanned-volume", "200",
@@ -263,6 +283,21 @@ class TestPredict:
         code = main(["predict", "--fit", str(workspace / "run" / "syn_fit.txt"),
                      "--volume", "-3", "--seed", "1", "--out-dir", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("volume", ["inf", "nan"])
+    def test_nonfinite_volume_is_refused_by_name(self, workspace, tmp_path, capsys, volume):
+        code = main(["predict", "--fit", str(workspace / "run" / "syn_fit.txt"),
+                     "--volume", volume, "--seed", "1", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: volume_mm3 must be finite and positive, got {volume}" in err
+        assert "Warning" not in err
+
+    def test_summary_writes_each_key_once(self, workspace):
+        lines = (workspace / "run" / "pred_summary.txt").read_text().splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        assert len(keys) == len(set(keys)), keys
+        assert {"seed", "toolkit_version", "config_sha256"} <= set(keys)
 
     def test_covariance_refusal_is_statistical_error(self, tmp_path):
         fit = synthetic_fit(with_covariance=False)
@@ -407,6 +442,16 @@ class TestSweep:
                      "--output", str(tmp_path / "s.csv")])
         assert code == 1
 
+    def test_nonfinite_volume_is_refused_by_name(self, workspace, tmp_path, capsys):
+        code = main(["sweep", "--fit", str(workspace / "run" / "syn_fit.txt"),
+                     "--volumes", "10,inf", "--seed", "1",
+                     "--output", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error: volume_mm3 must be finite and positive, got inf" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_metadata_and_flags_override(self, workspace, tmp_path):
@@ -458,6 +503,50 @@ class TestConfigFile:
         dist = read_prediction(out / "pred")
         assert dist.provenance["uncertainty_mode"] == "all"
         assert dist.provenance["volume_mm3"] == 100.0
+
+    def test_readme_config_names_every_option(self):
+        # each (section, key) some command reads, as a line or as a "; key = value" comment
+        from poretail.cli import CONFIG_KEYS
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(re.sub(r"^; (\w+ = )", r"\1", block, flags=re.M))
+        named = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert named == CONFIG_KEYS
+
+    @pytest.mark.parametrize("text, named", [
+        ("[mc]\nbin = 512\n", "[mc] bin"),
+        ("[specimen]\nscanned_volume = 200\n", "[specimen] scanned_volume"),
+        ("[fit]\nmode = auto\n", "section [fit]"),
+        ("[DEFAULT]\nseed = 5\n", "section [DEFAULT]"),
+    ])
+    def test_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys, text, named):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text)
+        code = main(["predict", "--config", str(cfg), "--fit",
+                     str(workspace / "run" / "syn_fit.txt"), "--volume", "10",
+                     "--seed", "1", "--mode", "none", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"data error: config {cfg}: no command reads {named}" in capsys.readouterr().err
+
+    def test_config_keys_of_other_commands_and_workers_are_accepted(self, workspace, tmp_path):
+        cfg = tmp_path / "shared.ini"
+        cfg.write_text("[mc]\nworkers = 4\n[truth]\nseed = 5\n[threshold]\nmode = auto\n")
+        assert main(["predict", "--config", str(cfg), "--fit",
+                     str(workspace / "run" / "syn_fit.txt"), "--volume", "10",
+                     "--seed", "1", "--mode", "none", "--out-dir", str(tmp_path)]) == 0
+
+    def test_config_value_outside_choices_is_data_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "mode.ini"
+        cfg.write_text("[threshold]\nmode = sometimes\n")
+        code = main(["fit", "--config", str(cfg), "--input", str(workspace / "pores.csv"),
+                     "--specimen-id", "S", "--scanned-volume", "200",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "config [threshold] mode: 'sometimes' is not one of auto, manual" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_config_file_is_usage_error(self, workspace, tmp_path):
         code = main(["fit", "--config", str(tmp_path / "nope.ini"),

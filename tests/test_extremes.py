@@ -579,6 +579,14 @@ def test_volume_of_interest_validation():
         VolumeOfInterest(-5.0)
 
 
+@pytest.mark.parametrize("volume", [float("inf"), float("nan")])
+def test_volume_of_interest_must_be_finite(basic_fit, volume):
+    with pytest.raises(ValueError, match="volume_mm3 must be finite and positive"):
+        VolumeOfInterest(volume)
+    with pytest.raises(ValueError, match="volume_mm3 must be finite and positive"):
+        volume_sweep(basic_fit, [10.0, volume], McConfig(seed=1))
+
+
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(seed=1, n_count_samples=0)
