@@ -46,7 +46,6 @@ from .extremes import (
     LargestPoreDistribution,
     McConfig,
     VolumeOfInterest,
-    estimate_rates,
     fit_tail,
     largest_cdf_closed,
     sample_largest,

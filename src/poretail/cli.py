@@ -18,14 +18,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .equivalence import build_report, plate_center_from_extents
+from .equivalence import EquivalenceReport, build_report, plate_center_from_extents
 from .extremes import (
     UNCERTAINTY_MODES,
     CovarianceUnavailableError,
@@ -112,11 +112,7 @@ def _floats(count: int | None = None) -> Callable[[str], tuple[float, ...]]:
 # into the config_sha256 of its outputs.
 SPECIMEN = (
     Option("--specimen-id", "specimen_id", str, REQUIRED),
-    Option("--geometry-label", "geometry_label", str, ""),
-    Option("--scan-velocity", "scan_velocity_mm_s", float, 0.0),
     Option("--scanned-volume", "scanned_volume_mm3", float, REQUIRED),
-    Option("--build-x", "build_x_mm"),
-    Option("--build-y", "build_y_mm"),
 )
 THRESHOLD = (
     Option("--threshold-mode", "mode", str, "auto", choices=("auto", "manual")),
@@ -175,6 +171,19 @@ CONFIG_KEYS = frozenset(
 )
 
 
+def _config_error(exc: configparser.Error) -> str:
+    """The line and fault of a configparser error, whose own text spans lines."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section]"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: neither a [section] header nor a key = value"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: [{exc.section}] {exc.option} is repeated"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] is repeated"
+    return " ".join(str(exc).split())
+
+
 def _load_config(path: str | None) -> configparser.ConfigParser:
     config = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if path:
@@ -184,7 +193,9 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
         try:
             config.read(target, encoding="utf-8")
         except configparser.Error as exc:
-            raise IngestError(f"malformed config {path}: {exc}") from exc
+            raise IngestError(f"malformed config {path}, {_config_error(exc)}") from exc
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"config {path}: byte {exc.start}: not UTF-8 text") from None
     if config.defaults():  # its keys would apply to every section
         raise IngestError(f"config {path}: no command reads section [{config.default_section}]")
     for section in config.sections():
@@ -199,7 +210,7 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
 def _config_value(config, section: str, option: Option):
     try:
         value = option.kind(config.get(section, option.key))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, configparser.Error) as exc:
         raise IngestError(f"config [{section}] {option.key}: {exc}") from exc
     if option.choices and value not in option.choices:
         raise IngestError(
@@ -250,14 +261,10 @@ def _stamp(args, **inputs) -> dict:
 
 
 def _ingest(args) -> "SpecimenDataset":
-    build = (args.build_x, args.build_y)
     return ingest_specimen(
         _input_path(args.input),
         specimen_id=args.specimen_id,
-        geometry_label=args.geometry_label,
-        scan_velocity_mm_s=args.scan_velocity,
         scanned_volume_mm3=args.scanned_volume,
-        build_location_mm=build if None not in build else None,
     )
 
 
@@ -276,13 +283,18 @@ def cmd_geom(args) -> int:
     dataset = _ingest(args)
     dump_specimen(dataset, args.output)
     print(f"geom: {len(dataset)} pore(s) -> {args.output}")
+    if dataset.quality_flags:
+        print("geom flags: " + "; ".join(dataset.quality_flags))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
+    if (args.threshold_mode == "manual") != (args.threshold is not None):
+        need = "is required with" if args.threshold is None else "is only read with"
+        raise CliUsageError(
+            f"--threshold ([threshold] value) {need} --threshold-mode manual ([threshold] mode)"
+        )
     dataset = _ingest(args)
-    if args.threshold_mode == "manual" and args.threshold is None:
-        raise CliUsageError("--threshold is required with --threshold-mode manual")
 
     if args.candidates:
         candidates = np.array(args.candidates)
@@ -372,36 +384,12 @@ def cmd_compare(args) -> int:
             part_position_mm=part_pos,
             plate_center_mm=center,
         )
-        rows.append(
-            (
-                report.coupon_fit_id,
-                report.part_specimen_id,
-                report.observed_um,
-                report.q_value,
-                report.p_value,
-                report.volume_mm3,
-                report.cartesian_distance_mm,
-                report.radial_distance_mm,
-            )
-        )
+        rows.append(astuple(report))
         print(
             f"compare: observed={observed:g}um q={report.q_value:.6g} "
             f"p={report.p_value:.6g}"
         )
-    write_table(
-        args.output,
-        (
-            "coupon_fit_id",
-            "part_specimen_id",
-            "observed_um",
-            "q_value",
-            "p_value",
-            "volume_mm3",
-            "cartesian_distance_mm",
-            "radial_distance_mm",
-        ),
-        rows,
-    )
+    write_table(args.output, [f.name for f in fields(EquivalenceReport)], rows)
     return EXIT_OK
 
 

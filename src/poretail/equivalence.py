@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -220,29 +220,19 @@ KS_MATRIX_COLUMNS = ("volume_mm3", "ks_poisson_vs_none", "ks_all_vs_none")
 def mode_comparison_table(
     fit: TailFit,
     volumes_mm3: Sequence[float],
-    configs: Mapping[str, McConfig],
+    config: McConfig,
 ) -> list[tuple[float, float, float]]:
     """KS distances from the no-uncertainty CDF per volume and mode.
 
-    `configs` supplies one sampling plan per mode ("none", "poisson_only",
-    "all"); rows match KS_MATRIX_COLUMNS.
+    `config` is run in each of the modes "none", "poisson_only" and "all",
+    whatever its own uncertainty_mode; rows match KS_MATRIX_COLUMNS.
     """
-    for mode in ("none", "poisson_only", "all"):
-        if mode not in configs:
-            raise ValueError(f"missing config for mode {mode!r}")
-        if configs[mode].uncertainty_mode != mode:
-            raise ValueError(f"config for {mode!r} has mismatched uncertainty_mode")
     rows = []
     for volume in volumes_mm3:
         voi = VolumeOfInterest(volume)
-        base = sample_largest(fit, voi, configs["none"])
-        poisson = sample_largest(fit, voi, configs["poisson_only"])
-        full = sample_largest(fit, voi, configs["all"])
-        rows.append(
-            (
-                float(volume),
-                ks_statistic(base, poisson),
-                ks_statistic(base, full),
-            )
+        base, poisson, full = (
+            sample_largest(fit, voi, replace(config, uncertainty_mode=mode))
+            for mode in ("none", "poisson_only", "all")
         )
+        rows.append((float(volume), ks_statistic(base, poisson), ks_statistic(base, full)))
     return rows

@@ -1,6 +1,6 @@
 """Largest-pore estimation in a volume of interest.
 
-Closed-form largest-pore CDF/quantiles for a known exceedance count, the
+Closed-form largest-pore CDF for a known exceedance count, the
 Poisson exceedance-rate model, and the engine that propagates count and
 parameter uncertainty into the distribution of the largest equivalent
 diameter. The Poisson count (with its clamped-Gaussian rate) and the
@@ -26,7 +26,6 @@ from .gpd import (
     MIN_TAIL_COUNT,
     TailFit,
     _log_survival,
-    _quantile_from_tail_prob,
     gpd_cdf,
     select_estimator,
 )
@@ -61,7 +60,6 @@ _SUMMARY_FIELDS = (
 _CHUNK_ELEMENTS = 1 << 16
 
 FLAG_EMPTY_FALLBACK = "zero exceedance count possible with empty sub-threshold record"
-FLAG_NO_EXCEEDANCES = "no pores above threshold"
 FLAG_DEGENERATE_RANGE = "degenerate histogram range: CDF at its target at the lowest edge or nowhere"
 FLAG_RULE_UNCONVERGED = (
     f"(scale, shape) rule unconverged: {_MAX_NODES} and {_MAX_NODES // 2} nodes per axis "
@@ -124,44 +122,6 @@ class McConfig:
         return self.n_count_samples * self.n_param_samples * self.n_p_samples
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    rate_per_mm3: float
-    se: float
-    count: int
-
-
-@dataclass(frozen=True)
-class RateEstimates:
-    above: RateEstimate
-    below: RateEstimate
-    flags: tuple[str, ...] = ()
-
-
-def estimate_rates(dataset: SpecimenDataset, threshold_um: float) -> RateEstimates:
-    """Poisson rate estimates on each side of the threshold.
-
-    The rate is the pore count divided by the scanned volume, and its
-    Poisson standard error is sqrt(count)/volume (zero by convention when
-    no pores were observed, which is flagged because uncertainty
-    propagation then degenerates to the sub-threshold fallback only).
-    """
-    d = dataset.diameters_um
-    volume = dataset.scanned_volume_mm3
-    n_above = int(np.count_nonzero(d > threshold_um))
-    n_below = int(d.size - n_above)
-
-    def one(count: int) -> RateEstimate:
-        return RateEstimate(
-            rate_per_mm3=count / volume, se=float(np.sqrt(count)) / volume, count=count
-        )
-
-    flags: tuple[str, ...] = ()
-    if n_above == 0:
-        flags = (FLAG_NO_EXCEEDANCES,)
-    return RateEstimates(above=one(n_above), below=one(n_below), flags=flags)
-
-
 def fit_tail(
     dataset: SpecimenDataset,
     threshold_um: float,
@@ -169,20 +129,23 @@ def fit_tail(
     min_tail_count: int = MIN_TAIL_COUNT,
     fit_id: str | None = None,
 ) -> TailFit:
-    """Fit the tail of a specimen and attach rates and the sub-threshold sample."""
+    """Fit the tail of a specimen and attach rates and the sub-threshold sample.
+
+    The Poisson rate on each side of the threshold is the pore count over
+    the scanned volume, with standard error sqrt(count) / volume.
+    """
     d = dataset.diameters_um
+    volume = dataset.scanned_volume_mm3
     exceed = d[d > threshold_um]
     below = np.sort(d[d <= threshold_um])
     fit = select_estimator(exceed, threshold_um, min_tail_count=min_tail_count)
-    rates = estimate_rates(dataset, threshold_um)
     return replace(
         fit,
         fit_id=fit_id or f"{dataset.specimen_id}@{threshold_um:g}um",
-        flags=fit.flags + rates.flags,
-        lambda_above_per_mm3=rates.above.rate_per_mm3,
-        lambda_above_se=rates.above.se,
-        lambda_below_per_mm3=rates.below.rate_per_mm3,
-        lambda_below_se=rates.below.se,
+        lambda_above_per_mm3=exceed.size / volume,
+        lambda_above_se=float(np.sqrt(exceed.size)) / volume,
+        lambda_below_per_mm3=below.size / volume,
+        lambda_below_se=float(np.sqrt(below.size)) / volume,
         empirical_below_um=below,
     )
 
@@ -195,30 +158,6 @@ def largest_cdf_closed(params: GpdParams, n_pores, d) -> np.ndarray | float:
     base = np.asarray(gpd_cdf(params, d), dtype=float)
     out = base**n_arr
     if np.ndim(d) == 0 and np.ndim(n_pores) == 0:
-        return float(out)
-    return out
-
-
-def largest_quantile_closed(params: GpdParams, n_pores, p) -> np.ndarray | float:
-    """Inverse of the largest-pore CDF for a known count of tail pores.
-
-    Evaluates the tail quantile at p**(1/n); for negative shape, p = 1 maps
-    to the support bound, while for shape >= 0 it is unbounded and refused.
-    """
-    n_arr = np.asarray(n_pores, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(n_arr <= 0):
-        raise ValueError("n_pores must be positive (zero-count case is the fallback)")
-    if np.any(p_arr < 0) or np.any(p_arr > 1):
-        raise ValueError("p must lie in [0, 1]")
-    if params.shape >= 0 and np.any(p_arr == 1.0):
-        raise ValueError("quantile at p = 1 is unbounded for shape >= 0")
-    with np.errstate(divide="ignore"):
-        one_minus_q = -np.expm1(np.log(p_arr) / n_arr)
-    out = _quantile_from_tail_prob(
-        params.threshold_um, params.scale_um, params.shape, one_minus_q
-    )
-    if np.ndim(p) == 0 and np.ndim(n_pores) == 0:
         return float(out)
     return out
 

@@ -4,7 +4,7 @@ A specimen is its pore table held as columns: the cell text of the
 measured columns, kept so that a dump reproduces them byte for byte, and
 the metrics derived from them as arrays (equivalent spherical diameter,
 aspect ratio and sphericity). Every column is in canonical order,
-equivalent diameter descending, so that tail operations read a prefix.
+equivalent diameter descending, which is the order a dump writes.
 The metric functions accept a scalar or an array.
 """
 
@@ -153,7 +153,7 @@ def _first_repeat(values: Sequence[str]) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class SpecimenDataset:
-    """A specimen's pore table, as columns, plus scanned volume and metadata.
+    """A specimen's pore table, as columns, plus its id and scanned volume.
 
     ``cells`` maps each measured column (REQUIRED_COLUMNS, plus
     CENTROID_COLUMNS when all three are given) to its cell text, one entry
@@ -177,11 +177,8 @@ class SpecimenDataset:
     """
 
     specimen_id: str
-    geometry_label: str
-    scan_velocity_mm_s: float
     scanned_volume_mm3: float
     cells: Mapping[str, Sequence[str]]
-    build_location_mm: tuple[float, float] | None = None
     diameters_um: np.ndarray = field(init=False, repr=False)
     aspect_ratios: np.ndarray = field(init=False, repr=False)
     sphericities: np.ndarray = field(init=False, repr=False)
@@ -331,10 +328,7 @@ def ingest_specimen(
     pore_table: str | Path | IO[str],
     *,
     specimen_id: str,
-    geometry_label: str = "",
-    scan_velocity_mm_s: float = 0.0,
     scanned_volume_mm3: float,
-    build_location_mm: tuple[float, float] | None = None,
 ) -> SpecimenDataset:
     """Read a comma-separated pore table into a SpecimenDataset.
 
@@ -354,22 +348,14 @@ def ingest_specimen(
         # utf-8, not utf-8-sig, so that an undecodable byte's offset counts the mark.
         with open(pore_table, "r", encoding="utf-8", newline="") as handle:
             return ingest_specimen(
-                handle,
-                specimen_id=specimen_id,
-                geometry_label=geometry_label,
-                scan_velocity_mm_s=scan_velocity_mm_s,
-                scanned_volume_mm3=scanned_volume_mm3,
-                build_location_mm=build_location_mm,
+                handle, specimen_id=specimen_id, scanned_volume_mm3=scanned_volume_mm3
             )
 
     # The text, its rows and the columns not kept are freed before parsing.
     return SpecimenDataset(
         specimen_id=specimen_id,
-        geometry_label=geometry_label,
-        scan_velocity_mm_s=scan_velocity_mm_s,
         scanned_volume_mm3=scanned_volume_mm3,
         cells=_table_columns(pore_table),
-        build_location_mm=build_location_mm,
     )
 
 

@@ -82,34 +82,26 @@ def gpd_cdf(params: GpdParams, d) -> np.ndarray | float:
     return out
 
 
-def _quantile_from_tail_prob(threshold_um, scale_um, shape, one_minus_q) -> np.ndarray:
-    """Quantile expressed through the exceedance probability 1 - q.
-
-    Working from 1 - q directly avoids cancellation when q is very close
-    to 1 (deep-tail evaluation). Scale and shape broadcast against 1 - q.
-    """
-    shape = np.asarray(shape, dtype=float)
-    small = np.abs(shape) < XI_SWITCH
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_omq = np.log(np.asarray(one_minus_q, dtype=float))
-        power = scale_um * np.expm1(-shape * log_omq) / np.where(small, 1.0, shape)
-        return threshold_um + np.where(small, -scale_um * log_omq, power)
-
-
 def gpd_quantile(params: GpdParams, q) -> np.ndarray | float:
     """Inverse CDF at probability q in [0, 1).
 
     q = 1 is allowed only for negative shape, where it returns the support
     bound; otherwise the quantile is unbounded and a ValueError is raised.
+    It is computed from log(1 - q) through expm1, which keeps precision as
+    q nears 1 (deep-tail evaluation).
     """
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
         raise ValueError("q must lie in [0, 1]")
     if params.shape >= 0 and np.any(q_arr == 1.0):
         raise ValueError("quantile at q = 1 is unbounded for shape >= 0")
-    out = _quantile_from_tail_prob(
-        params.threshold_um, params.scale_um, params.shape, 1.0 - q_arr
-    )
+    scale, shape = params.scale_um, params.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_omq = np.log(1.0 - q_arr)
+        if abs(shape) < XI_SWITCH:
+            out = params.threshold_um - scale * log_omq
+        else:
+            out = params.threshold_um + scale * np.expm1(-shape * log_omq) / shape
     if np.ndim(q) == 0:
         return float(out)
     return out

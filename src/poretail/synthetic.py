@@ -74,8 +74,6 @@ def generate_specimen(
     seed: int,
     *,
     specimen_id: str | None = None,
-    geometry_label: str = "synthetic",
-    scan_velocity_mm_s: float = 0.0,
 ) -> SpecimenDataset:
     """Draw one specimen from ground truth.
 
@@ -108,8 +106,6 @@ def generate_specimen(
     feret = list(map(repr, diameters.tolist()))
     return SpecimenDataset(
         specimen_id=specimen_id or f"synthetic-{seed}",
-        geometry_label=geometry_label,
-        scan_velocity_mm_s=scan_velocity_mm_s,
         scanned_volume_mm3=volume,
         cells={
             "pore_id": ids,

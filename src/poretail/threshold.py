@@ -86,14 +86,9 @@ class CandidateDiagnostics:
 
 @dataclass
 class ThresholdScan:
-    """Diagnostics over an ascending candidate grid plus the selection."""
+    """Diagnostics over an ascending candidate grid."""
 
     candidates: list[CandidateDiagnostics]
-    min_tail_count: int = MIN_TAIL_COUNT
-    stability_tolerance: float = DEFAULT_STABILITY_TOLERANCE
-    stability_window: int = DEFAULT_STABILITY_WINDOW
-    selected_um: float | None = None
-    selected_mode: str | None = None
 
     def table_rows(self) -> list[tuple]:
         """Rows matching SCAN_COLUMNS, for comma-separated export."""
@@ -170,12 +165,7 @@ def stability_scan(
     unusable.
     """
     d = _as_diameters(data)
-    scan = ThresholdScan(
-        candidates=[],
-        min_tail_count=min_tail_count,
-        stability_tolerance=tolerance,
-        stability_window=window,
-    )
+    scan = ThresholdScan(candidates=[])
     for mu in np.sort(np.asarray(candidates, dtype=float)):
         exceed = d[d > mu]
         if exceed.size < min_tail_count:
@@ -223,7 +213,7 @@ def stability_scan(
                 abs(other.sigma_star_um - entry.sigma_star_um) / entry.sigma_star_se,
             )
         entry.stability_score = score
-        entry.passes = score <= tolerance and entry.n_exceed >= min_tail_count
+        entry.passes = score <= tolerance
     return scan
 
 
@@ -240,15 +230,11 @@ def select_threshold(
     if mode == "manual":
         if manual_value is None:
             raise ValueError("manual mode requires a threshold value")
-        scan.selected_um = float(manual_value)
-        scan.selected_mode = "manual"
         return float(manual_value)
     if mode != "auto":
         raise ValueError(f"unknown selection mode {mode!r}")
     for entry in scan.candidates:
         if entry.passes:
-            scan.selected_um = entry.threshold_um
-            scan.selected_mode = "auto"
             return entry.threshold_um
     scored = [c for c in scan.candidates if np.isfinite(c.stability_score)]
     scored.sort(key=lambda c: c.stability_score)

@@ -159,15 +159,7 @@ def test_criterion_08_uncertainty_trend_across_volumes():
     fit = synthetic_fit(threshold=30.0, scale=5.0, shape=0.02, n_exceed=400,
                         lam_above=0.8, lam_below=30.0, n_below=2000, emp_seed=4)
     volumes = [25.0, 50.0, 100.0, 250.0, 500.0]
-    configs = {
-        "none": pt.McConfig(seed=1, n_count_samples=1, n_param_samples=1,
-                            n_p_samples=1_000_000, uncertainty_mode="none"),
-        "poisson_only": pt.McConfig(seed=1, n_count_samples=10_000, n_param_samples=1,
-                                    n_p_samples=10_000, uncertainty_mode="poisson_only"),
-        "all": pt.McConfig(seed=1, n_count_samples=500, n_param_samples=100,
-                           n_p_samples=2000, uncertainty_mode="all"),
-    }
-    rows = pt.mode_comparison_table(fit, volumes, configs)
+    rows = pt.mode_comparison_table(fit, volumes, pt.McConfig(seed=1))
     ks_poisson = [row[1] for row in rows]
     ks_all = [row[2] for row in rows]
     assert all(a <= b + 1e-12 for a, b in zip(ks_all, ks_all[1:])), (

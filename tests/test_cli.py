@@ -52,7 +52,7 @@ def workspace(tmp_path_factory):
 
 
 class TestSimulateAndGeom:
-    def test_simulate_emits_provenance_and_reingests(self, workspace, tmp_path):
+    def test_simulate_emits_provenance_and_reingests(self, workspace, tmp_path, capsys):
         text = (workspace / "pores.csv").read_text()
         assert text.startswith("# seed=5\n")
         assert "# config_sha256=" in text
@@ -65,6 +65,31 @@ class TestSimulateAndGeom:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header.endswith("equiv_diameter_um,aspect_ratio,sphericity")
+        # simulated pores are spheres, so geom flags nothing
+        assert "geom flags" not in capsys.readouterr().out
+
+    def test_geom_prints_quality_flags(self, tmp_path, capsys):
+        table = tmp_path / "one.csv"
+        # a sphere of this volume has a surface area of about 48,000 um^2
+        table.write_text("pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n"
+                         "p1,1000000,20000,100,150\n")
+        assert main(["geom", "--input", str(table), "--specimen-id", "S",
+                     "--scanned-volume", "1", "--output", str(tmp_path / "g.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "geom flags: sphericity above 1 (surface area below spherical minimum)"
+        )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--geometry-label", "4PB"), ("--scan-velocity", "1300"),
+        ("--build-x", "12.5"), ("--build-y", "-40.0"),
+    ])
+    def test_removed_specimen_flag_is_usage_error(self, workspace, tmp_path, capsys,
+                                                  flag, value):
+        code = main(["geom", "--input", str(workspace / "pores.csv"), "--specimen-id", "X",
+                     "--scanned-volume", "200", flag, value,
+                     "--output", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_simulate_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -209,7 +234,7 @@ class TestFit:
             config_hash("a", *base),
             config_hash("v", "--scanned-volume", "400", "--candidates", "20"),
             config_hash("c", "--scanned-volume", "200", "--candidates", "20,21"),
-            config_hash("g", *base, "--geometry-label", "4PB"),
+            config_hash("t", *base, "--stability-tolerance", "1.0"),
         }
         assert len(hashes) == 4
 
@@ -218,6 +243,23 @@ class TestFit:
                      "--specimen-id", "S", "--scanned-volume", "200",
                      "--threshold-mode", "manual", "--out-dir", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--threshold", "20"], ""),
+        (["--threshold-mode", "auto", "--threshold", "20"], ""),
+        ([], "[threshold]\nvalue = 20\n"),
+    ])
+    def test_threshold_in_auto_mode_is_usage_error(self, workspace, tmp_path, capsys,
+                                                    flags, config):
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(config)
+        code = main(["fit", "--config", str(cfg), "--input", str(workspace / "pores.csv"),
+                     "--specimen-id", "S", "--scanned-volume", "200", *flags,
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert ("--threshold ([threshold] value) is only read with "
+                "--threshold-mode manual ([threshold] mode)") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPredict:
@@ -520,6 +562,8 @@ class TestConfigFile:
         ("[specimen]\nscanned_volume = 200\n", "[specimen] scanned_volume"),
         ("[fit]\nmode = auto\n", "section [fit]"),
         ("[DEFAULT]\nseed = 5\n", "section [DEFAULT]"),
+        *((f"[specimen]\n{key} = 1\n", f"[specimen] {key}") for key in (
+            "geometry_label", "scan_velocity_mm_s", "build_x_mm", "build_y_mm")),
     ])
     def test_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys, text, named):
         cfg = tmp_path / "typo.ini"
@@ -529,6 +573,41 @@ class TestConfigFile:
                      "--seed", "1", "--mode", "none", "--out-dir", str(tmp_path)])
         assert code == 2
         assert f"data error: config {cfg}: no command reads {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("x = 1\n", 1),
+        ("[specimen]\nspecimen_id\n", 2),
+        ("[specimen]\nspecimen_id = A\nspecimen_id = B\n", 3),
+        ("[mc]\nbins = 256\n[mc]\n", 3),
+    ])
+    def test_malformed_config_is_one_line_data_error(self, workspace, tmp_path, capsys,
+                                                     text, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        code = main(["geom", "--config", str(cfg), "--input", str(workspace / "pores.csv"),
+                     "--specimen-id", "X", "--scanned-volume", "200",
+                     "--output", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"poretail: data error: malformed config {cfg}, line {line}: ")
+
+    def test_config_that_is_not_utf8_is_data_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(b"[specimen]\nspecimen_id = \xff\n")
+        code = main(["geom", "--config", str(cfg), "--input", str(workspace / "pores.csv"),
+                     "--scanned-volume", "200", "--output", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert f"data error: config {cfg}: byte 25: not UTF-8 text" in capsys.readouterr().err
+
+    def test_interpolation_syntax_in_config_value_is_data_error(self, workspace, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "pct.ini"
+        cfg.write_text("[specimen]\nspecimen_id = 50%\n")
+        code = main(["geom", "--config", str(cfg), "--input", str(workspace / "pores.csv"),
+                     "--scanned-volume", "200", "--output", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert "data error: config [specimen] specimen_id: " in capsys.readouterr().err
 
     def test_config_keys_of_other_commands_and_workers_are_accepted(self, workspace, tmp_path):
         cfg = tmp_path / "shared.ini"
@@ -606,6 +685,16 @@ class TestReportRoundTrips:
         )
         assert proc.returncode == 0
         assert "poretail" in proc.stdout
+
+
+def test_readme_library_block_runs(workspace, monkeypatch, capsys):
+    # the README's "Library use" block verbatim, run where the walkthrough's files are
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(workspace)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("{") and len(printed) == 5
 
 
 def test_version_matches_pyproject():

@@ -201,9 +201,14 @@ class TestBuildReport:
         assert report.radial_distance_mm is None
 
 
-def test_mode_comparison_requires_all_modes(basic_fit):
-    with pytest.raises(ValueError, match="missing config"):
-        mode_comparison_table(basic_fit, [10.0], {"none": McConfig(seed=1, uncertainty_mode="none")})
+def test_mode_comparison_overrides_the_config_mode(basic_fit):
+    # the one plan runs in all three modes, whatever mode it names itself
+    rows = [
+        mode_comparison_table(basic_fit, [10.0], McConfig(seed=1, uncertainty_mode=mode))
+        for mode in ("none", "poisson_only", "all")
+    ]
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0][0][1] > 0.0 and rows[0][0][2] > 0.0
 
 
 def test_ks_matrix_export_columns(tmp_path, basic_fit):
@@ -221,15 +226,7 @@ def test_ks_matrix_export_columns(tmp_path, basic_fit):
 
 
 def test_mode_comparison_rows(basic_fit):
-    configs = {
-        "none": McConfig(seed=2, n_count_samples=1, n_param_samples=1,
-                         n_p_samples=20_000, uncertainty_mode="none"),
-        "poisson_only": McConfig(seed=2, n_count_samples=300, n_param_samples=1,
-                                 n_p_samples=300, uncertainty_mode="poisson_only"),
-        "all": McConfig(seed=2, n_count_samples=300, n_param_samples=30,
-                        n_p_samples=300, uncertainty_mode="all"),
-    }
-    rows = mode_comparison_table(basic_fit, [25.0, 100.0], configs)
+    rows = mode_comparison_table(basic_fit, [25.0, 100.0], McConfig(seed=2))
     assert len(rows) == 2
     for volume, ks_poisson, ks_all in rows:
         assert 0.0 <= ks_poisson <= 1.0

@@ -12,15 +12,13 @@ from poretail.extremes import (
     LargestPoreDistribution,
     McConfig,
     VolumeOfInterest,
-    estimate_rates,
     fit_tail,
     largest_cdf_closed,
-    largest_quantile_closed,
     sample_largest,
     volume_sweep,
 )
 from poretail.geometry import SpecimenDataset, sphere_surface_area
-from poretail.gpd import GpdParams
+from poretail.gpd import FitError, GpdParams, gpd_quantile
 from poretail.synthetic import brute_force_fit_largest
 
 from conftest import differing_fields, synthetic_fit
@@ -53,43 +51,19 @@ class TestClosedForms:
         assert np.all(np.diff(f) >= -1e-15)
         assert f[-1] == pytest.approx(1.0)
 
-    def test_quantile_matches_single_pore(self):
-        from poretail.gpd import gpd_quantile
-
-        params = GpdParams(0.0, 1.0, 1.0)
-        assert largest_quantile_closed(params, 1, 0.5) == pytest.approx(
-            gpd_quantile(params, 0.5), rel=1e-12
-        )
-
     def test_round_trip_random_pairs(self):
         rng = np.random.default_rng(77)
         params = GpdParams(5.0, 2.0, 0.3)
         p = rng.random(100)
         n = rng.integers(1, 300, 100).astype(float)
-        d = np.asarray(largest_quantile_closed(params, n, p))
+        # the largest of n pores is at most d with probability F(d)**n
+        d = np.asarray(gpd_quantile(params, p ** (1 / n)))
         back = np.asarray(largest_cdf_closed(params, n, d))
         assert np.max(np.abs(back - p)) < 1e-10
-
-    def test_p_zero_is_threshold(self):
-        params = GpdParams(7.0, 2.0, -0.2)
-        assert largest_quantile_closed(params, 10, 0.0) == pytest.approx(7.0)
-
-    def test_p_one_unbounded_for_nonnegative_shape(self):
-        with pytest.raises(ValueError, match="unbounded"):
-            largest_quantile_closed(GpdParams(0.0, 1.0, 0.1), 5, 1.0)
 
     def test_zero_count_is_fallback_not_here(self):
         with pytest.raises(ValueError, match="fallback"):
             largest_cdf_closed(GpdParams(0.0, 1.0, 0.1), 0, 1.0)
-
-    def test_doubling_volume_shifts_median_like_doubled_count(self):
-        params = GpdParams(10.0, 2.0, 0.2)
-        one = largest_quantile_closed(params, 40.0, 0.5)
-        two = largest_quantile_closed(params, 80.0, 0.5)
-        assert two == pytest.approx(
-            largest_quantile_closed(params, 40.0, np.sqrt(0.5)), rel=1e-12
-        )
-        assert two > one
 
 
 def make_dataset(diameters, volume=100.0):
@@ -100,8 +74,7 @@ def make_dataset(diameters, volume=100.0):
         return [repr(x) for x in values.tolist()]
 
     return SpecimenDataset(
-        specimen_id="S", geometry_label="", scan_velocity_mm_s=0.0,
-        scanned_volume_mm3=volume,
+        specimen_id="S", scanned_volume_mm3=volume,
         cells={
             "pore_id": [f"p{i}" for i in range(d.size)],
             "volume_um3": text(v),
@@ -116,25 +89,25 @@ class TestRates:
     def test_direct_arithmetic(self):
         rng = np.random.default_rng(0)
         d = np.concatenate([rng.uniform(30, 60, 200), rng.uniform(1, 20, 300)])
-        rates = estimate_rates(make_dataset(d, volume=100.0), 25.0)
-        assert rates.above.rate_per_mm3 == pytest.approx(2.0)
-        assert rates.above.se**2 == pytest.approx(0.02)
-        assert rates.below.rate_per_mm3 == pytest.approx(3.0)
+        fit = fit_tail(make_dataset(d, volume=100.0), 25.0)
+        assert fit.lambda_above_per_mm3 == pytest.approx(2.0)
+        assert fit.lambda_above_se**2 == pytest.approx(0.02)
+        assert fit.lambda_below_per_mm3 == pytest.approx(3.0)
+        assert fit.lambda_below_se**2 == pytest.approx(0.03)
 
     def test_conservation_exact(self):
         rng = np.random.default_rng(1)
         d = rng.uniform(1, 50, 137)
-        ds = make_dataset(d, volume=7.3)
-        rates = estimate_rates(ds, 20.0)
-        assert rates.above.rate_per_mm3 + rates.below.rate_per_mm3 == pytest.approx(
+        fit = fit_tail(make_dataset(d, volume=7.3), 20.0)
+        assert fit.lambda_above_per_mm3 + fit.lambda_below_per_mm3 == pytest.approx(
             137 / 7.3, rel=1e-15
         )
-        assert rates.above.count + rates.below.count == 137
+        assert fit.n_exceed + fit.empirical_below_um.size == 137
 
-    def test_zero_above_flagged(self):
-        rates = estimate_rates(make_dataset([1.0, 2.0]), 10.0)
-        assert rates.above.rate_per_mm3 == 0.0
-        assert rates.flags
+    def test_zero_above_refused(self):
+        # zero exceedances are refused before any rate is computed
+        with pytest.raises(FitError):
+            fit_tail(make_dataset([1.0, 2.0]), 10.0)
 
 
 def test_volume_unit_does_not_change_predictions():

@@ -108,8 +108,7 @@ p3,4188.79,1256.64,18.0,22.0
 
 
 def make_dataset(text=WELL_FORMED, **kwargs):
-    defaults = dict(specimen_id="S1", geometry_label="4PB", scan_velocity_mm_s=1300.0,
-                    scanned_volume_mm3=200.0)
+    defaults = dict(specimen_id="S1", scanned_volume_mm3=200.0)
     defaults.update(kwargs)
     return ingest_specimen(io.StringIO(text), **defaults)
 
@@ -355,7 +354,7 @@ class TestDump:
 def test_synthesized_record_sphere_consistency():
     volume = 523598.776
     ds = SpecimenDataset(
-        specimen_id="S", geometry_label="", scan_velocity_mm_s=0.0, scanned_volume_mm3=1.0,
+        specimen_id="S", scanned_volume_mm3=1.0,
         cells={"pore_id": ["x"], "volume_um3": [repr(volume)],
                "surface_area_um2": [repr(sphere_surface_area(volume))],
                "min_feret_um": ["100.0"], "max_feret_um": ["100.0"]},
@@ -527,8 +526,7 @@ def csv_reader_ingest(text):
         cut = any(len(row) <= i for c, i in index.items() if c in CENTROID_COLUMNS)
         for c, i in index.items():
             cells[c].append("" if cut and c in CENTROID_COLUMNS else row[i])
-    return SpecimenDataset(specimen_id="S", geometry_label="", scan_velocity_mm_s=0.0,
-                           scanned_volume_mm3=10.0, cells=cells)
+    return SpecimenDataset(specimen_id="S", scanned_volume_mm3=10.0, cells=cells)
 
 
 def _outcome(build):

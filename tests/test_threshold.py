@@ -157,13 +157,10 @@ class TestSelectThreshold:
     def test_first_passing_returned(self):
         scan = self.scan_with_passes([False, False, True, True])
         assert select_threshold(scan, "auto") == 2.0
-        assert scan.selected_um == 2.0
-        assert scan.selected_mode == "auto"
 
     def test_manual_verbatim(self):
         scan = self.scan_with_passes([False, False, False])
         assert select_threshold(scan, "manual", manual_value=20.0) == 20.0
-        assert scan.selected_mode == "manual"
 
     def test_no_pass_raises_with_near_misses(self):
         scan = self.scan_with_passes([False, False, False])
