@@ -138,6 +138,10 @@ def mom_covariance(scale_um: float, shape: float, n_exceed: int) -> np.ndarray:
     return pref * np.array([[c_ss, c_sx], [c_sx, c_xx]])
 
 
+# the TailFit rate fields, which fit_tail fills and a prediction needs
+RATE_KEYS = ("lambda_above_per_mm3", "lambda_above_se", "lambda_below_per_mm3", "lambda_below_se")
+
+
 @dataclass(frozen=True, eq=False)
 class TailFit:
     """A fitted tail: parameters, covariance, provenance and rates.
@@ -146,7 +150,8 @@ class TailFit:
     estimate sits outside the estimator's asymptotic-normality domain (in
     which case downstream uncertainty propagation refuses to run).
     The rate fields and the sub-threshold empirical sample are attached by
-    the dataset-level driver; plain estimator calls leave them None.
+    extremes.fit_tail; plain estimator calls leave them None. A rate that
+    is set must be finite and nonnegative.
     """
 
     params: GpdParams
@@ -162,6 +167,10 @@ class TailFit:
     empirical_below_um: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for key in RATE_KEYS:
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value < np.inf:
+                raise ValueError(f"{key} = {value} is not a finite nonnegative rate")
         if self.covariance is not None:
             cov = np.asarray(self.covariance, dtype=float)
             if cov.shape != (2, 2):

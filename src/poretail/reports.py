@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution
 from .geometry import _quote_cell
-from .gpd import GpdParams, TailFit
+from .gpd import RATE_KEYS, GpdParams, TailFit
 
 FIT_FORMAT = "poretail-fit/1"
 PREDICTION_FORMAT = "poretail-prediction/1"
@@ -124,12 +124,7 @@ def write_fit_report(
             ("cov_xi_xi", float(fit.covariance[1, 1])),
         ]
     if fit.lambda_above_per_mm3 is not None:
-        items += [
-            ("lambda_above_per_mm3", fit.lambda_above_per_mm3),
-            ("lambda_above_se", fit.lambda_above_se or 0.0),
-            ("lambda_below_per_mm3", fit.lambda_below_per_mm3),
-            ("lambda_below_se", fit.lambda_below_se or 0.0),
-        ]
+        items += [(key, getattr(fit, key) or 0.0) for key in RATE_KEYS]
     items.append(("flags", "|".join(fit.flags)))
     emp = fit.empirical_below_um
     if emp is not None:
@@ -162,9 +157,6 @@ def read_fit_report(path: str | Path) -> TailFit:
             )
         flags = tuple(f for f in values.get("flags", "").split("|") if f)
 
-        def opt_float(key: str) -> float | None:
-            return float(values[key]) if key in values else None
-
         return TailFit(
             params=params,
             covariance=covariance,
@@ -172,10 +164,7 @@ def read_fit_report(path: str | Path) -> TailFit:
             n_exceed=int(values["n_exceed"]),
             flags=flags,
             fit_id=values.get("fit_id", ""),
-            lambda_above_per_mm3=opt_float("lambda_above_per_mm3"),
-            lambda_above_se=opt_float("lambda_above_se"),
-            lambda_below_per_mm3=opt_float("lambda_below_per_mm3"),
-            lambda_below_se=opt_float("lambda_below_se"),
+            **{key: float(values[key]) for key in RATE_KEYS},
             empirical_below_um=empirical,
         )
     except (KeyError, ValueError) as exc:

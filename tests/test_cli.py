@@ -349,6 +349,31 @@ class TestPredict:
                      "--seed", "2", "--mode", "all", "--out-dir", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("value, code", [("-0.5", 2), ("nan", 2), ("0.0", 0)])
+    def test_rate_outside_its_domain_is_refused_by_key(self, tmp_path, capsys, value, code):
+        # a negative se used to run as a pinned rate, and nan to fail inside the
+        # engine; se = 0 is what fit_tail writes for a zero count
+        path = tmp_path / "fit.txt"
+        write_fit_report(synthetic_fit(), path)
+        path.write_text(re.sub(r"^lambda_above_se = .*$", f"lambda_above_se = {value}",
+                               path.read_text(), flags=re.M))
+        assert main(["predict", "--fit", str(path), "--volume", "10", "--seed", "1",
+                     "--mode", "all", "--out-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        if code:
+            assert f"lambda_above_se = {value} is not a finite nonnegative rate" in err
+
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_report_without_rates_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "fit.txt"
+        write_fit_report(synthetic_fit(), path)
+        path.write_text(re.sub(r"^lambda_below_se = .*\n", "", path.read_text(), flags=re.M))
+        where = (["--volume", "10", "--out-dir", str(tmp_path)] if command == "predict"
+                 else ["--volumes", "10", "--output", str(tmp_path / "sweep.csv")])
+        assert main([command, "--fit", str(path), "--seed", "1", *where]) == 2
+        assert f"{path}: 'lambda_below_se'" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_median_observation_scores_half(self, workspace, tmp_path, capsys):
@@ -755,30 +780,30 @@ def test_fit_starts_on_numpy_alone(tmp_path):
     assert run_probe(FIT_PROBE, table, tmp_path)[-1] == "[]"
 
 
-SPECIAL_PROBE = """
-import sys
+ENGINE_PROBE = """
+import contextlib, io, sys
 from poretail.cli import main
 
 table, fit, out = sys.argv[1:]
-loaded = ["scipy.special" in sys.modules]
+common = ["--fit", fit, "--seed", "1"]
 for argv in (
     ["geom", "--input", table, "--specimen-id", "X", "--scanned-volume", "10",
      "--output", out + "/geom.csv"],
-    ["predict", "--fit", fit, "--volume", "10", "--seed", "1", "--mode", "none",
-     "--out-dir", out, "--tag", "none"],
-    ["compare", "--prediction", out + "/none", "--observed", "25",
+    *(["predict", *common, "--volume", "10", "--mode", mode, "--out-dir", out, "--tag", mode]
+      for mode in ("none", "poisson_only", "all")),
+    ["compare", "--prediction", out + "/all", "--observed", "25",
      "--output", out + "/compare.csv"],
-    ["predict", "--fit", fit, "--volume", "10", "--seed", "1", "--mode", "all",
-     "--out-dir", out, "--tag", "all"],
+    ["sweep", *common, "--volumes", "1,10,100", "--mode", "all", "--output", out + "/sweep.csv"],
 ):
-    assert main(argv) == 0, argv
-    loaded.append("scipy.special" in sys.modules)
-print(loaded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(argv[0], sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_scipy_special_loads_only_for_the_engine_and_synthesis(tmp_path):
-    # geom, predict --mode none and compare start on numpy alone
+def test_predict_and_sweep_start_on_numpy_alone(tmp_path):
+    # the engine's normal tail is poretail's own (_erfcx), so no command but
+    # simulate loads scipy
     table = tmp_path / "pores.csv"
     table.write_text(
         "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n"
@@ -786,4 +811,6 @@ def test_scipy_special_loads_only_for_the_engine_and_synthesis(tmp_path):
     )
     fit = tmp_path / "fit.txt"
     write_fit_report(synthetic_fit(), fit)
-    assert run_probe(SPECIAL_PROBE, table, fit, tmp_path)[-1] == "[False, False, False, False, True]"
+    assert run_probe(ENGINE_PROBE, table, fit, tmp_path) == [
+        "geom []", "predict []", "predict []", "predict []", "compare []", "sweep []"
+    ]

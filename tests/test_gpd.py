@@ -139,6 +139,16 @@ class TestCovariances:
         assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
+@pytest.mark.parametrize("key, value", [("lambda_above_se", -0.5),
+                                        ("lambda_above_per_mm3", np.nan),
+                                        ("lambda_below_per_mm3", np.inf)])
+def test_tail_fit_refuses_a_rate_outside_its_domain(key, value):
+    with pytest.raises(ValueError, match=f"^{key} = {value} is not a finite nonnegative rate$"):
+        TailFit(GpdParams(0.0, 1.0, 0.1), None, "MLE", 100, **{key: value})
+    # se = 0 is what fit_tail writes for a zero count
+    TailFit(GpdParams(0.0, 1.0, 0.1), None, "MLE", 100, **{key: 0.0})
+
+
 class TestMle:
     def test_recovers_parameters_within_3se(self):
         x = simulate(0.3, 5000, 42, scale=1.0, threshold=10.0)
