@@ -3,21 +3,18 @@
 Closed-form largest-pore CDF for a known exceedance count, the
 Poisson exceedance-rate model, and the engine that propagates count and
 parameter uncertainty into the distribution of the largest equivalent
-diameter. The Poisson count (with its clamped-Gaussian rate) and the
+diameter. The exceedance rate is Gamma with the estimate's mean and
+standard error, so the count is negative binomial; the count and the
 uniform-probability axis have closed forms, so the engine evaluates the
 largest-pore CDF exactly at the histogram edges and integrates it over
 (scale, shape) with a tensor Gauss-Hermite rule on the fit's bivariate
 normal, doubling the nodes until two rules agree; their difference is
 reported as the CDF's precision. The nodes are processed in blocks of
 bounded size, and the result does not depend on the block size.
-The count's closed form needs normal tails, which _laplace_rate takes
-from a polynomial for erfcx (_erfcx) and from math.erfc, so the engine
-runs on numpy alone.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -308,123 +305,27 @@ def _param_rule(fit: TailFit, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return nodes[keep, 0].copy(), nodes[keep, 1].copy(), weights / weights.sum()
 
 
-# Coefficients p_0..p_27 of the polynomial in u = 2t - 1, t = 2 / (2 + y),
-# y >= 0, that gives log(erfcx(y) / t) (the form of Schonfelder 1978, Math.
-# Comp. 32:1232; Numerical Recipes 3rd ed., section 6.2.2). Recipe: mpmath
-# 1.3.0 at 50 digits, Chebyshev coefficients c_k = (2/N) sum_j f(cos th_j)
-# cos(k th_j) over the N = 64 nodes th_j = pi (j + 1/2) / N of
-# f(u) = log(erfcx(y) / t), with f(-1) = -log(2 sqrt(pi)) its limit at
-# y = inf; c_0 / 2 + sum_{k=1}^{27} c_k T_k(u) expanded in powers of u at
-# 50 digits, then rounded. The terms dropped beyond c_27 are below 3e-18,
-# and sum |p_k| = 1.46, so Horner's rule loses no more than the series
-# itself. _erfcx is within 4.4e-16 relative of mpmath at 200 points of
-# [0, 1e4], and within 1.1e-15 of scipy.special.erfcx on a dense grid of
-# [0, 1e300].
-_ERFCX_POLY = (
-    -0.6717940840566923, 0.6726432239776567, 0.04734330684190443,
-    -0.0468956102311753, -0.009872689366389959, 0.008824938557060623,
-    0.001758933557799016, -0.002345812500482853, -0.00014624686337800336,
-    0.000673678795580235, -9.37350311709817e-05, -0.0001743029472030762,
-    7.14010141275703e-05, 3.17451797494374e-05, -3.0187884551394243e-05,
-    1.3772664134464417e-07, 8.562623420121286e-06, -2.947986876998259e-06,
-    -1.27231190486887e-06, 1.2500276612569754e-06, -1.6849800720653297e-07,
-    -2.495832761719667e-07, 1.5334345920908177e-07, 1.4448658046252676e-09,
-    -3.9171820510271855e-08, 1.1172352263623759e-08, 4.06088214696972e-09,
-    -1.8902306008944537e-09,
-)
-# The smallest double x with Phi(-x) < 2**-54 (mpmath root of Phi(-x) = 2**-54,
-# 8.2923610758135955, rounded up). Beyond it Phi(x) = 1 - Phi(-x) is within
-# half an ulp of 1, so leaving that factor out moves a value by at most one ulp.
-_NORMAL_TAIL_NEGLIGIBLE = 8.292361075813597
-_SQRT_HALF = math.sqrt(0.5)
-# Below this many elements numpy's cost per call (about a microsecond)
-# outweighs the arithmetic, and the rate transform runs on Python floats.
-_FEW_ELEMENTS = 16
-
-
-def _erfcx(y: np.ndarray) -> np.ndarray:
-    """Scaled complementary error function exp(y^2) erfc(y) for y >= 0.
-
-    t exp(p(2t - 1)), t = 2 / (2 + y), with p evaluated by Horner's rule;
-    1 at y = 0 and 0 at y = inf.
-    """
-    t = 2.0 / (2.0 + y)
-    u = 2.0 * t - 1.0
-    p = np.zeros_like(u)
-    for c in reversed(_ERFCX_POLY):
-        p *= u
-        p += c
-    np.exp(p, out=p)
-    p *= t
-    return p
-
-
-def _erfcx_one(y: float) -> float:
-    """_erfcx of one float, rounded step for step as the array code is."""
-    t = 2.0 / (2.0 + y)
-    u = 2.0 * t - 1.0
-    p = 0.0
-    for c in reversed(_ERFCX_POLY):
-        p = p * u + c
-    return float(np.exp(p)) * t
-
-
 def _laplace_rate(a, lam: float, se: float) -> np.ndarray:
-    """E[exp(-a R)] for the rate R = max(Normal(lam, se^2), 0), a, lam, se >= 0.
+    """E[exp(-a R)] for a Gamma rate R with mean lam and standard error se,
+    a >= 0 and lam > 0 (or lam = se = 0).
 
-    Splitting at R = 0: P(R = 0) = Phi(-t) with t = lam/se, and completing
-    the square over R > 0 gives B Phi(x) with B = exp(-a lam + (a se)^2 / 2)
-    and x = t - a se. Phi(x) enters only where x < _NORMAL_TAIL_NEGLIGIBLE,
-    through Phi(-|x|) = erfcx(|x| / sqrt 2) exp(-x^2 / 2) / 2: for x >= 0,
-    B Phi(x) = B (1 - Phi(-x)); for x < 0, where B may overflow, B Phi(x) =
-    exp(-t^2 / 2) erfcx(-x / sqrt 2) / 2, since B exp(-x^2 / 2) = exp(-t^2 / 2).
-    Fewer than _FEW_ELEMENTS values go through _rate_one, one at a time.
+    R has shape k = (lam / se)^2 and scale se^2 / lam, so a Poisson(R V)
+    count is negative binomial and E[exp(-a R)] = (1 + a se^2 / lam)^-k
+    (Gelman et al., Bayesian Data Analysis, 3rd ed., section 2.6). fit_tail's
+    rates give k = the exceedance count. At se = 0 the rate is pinned at lam.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if se <= 0.0:
         return np.exp(-a * lam)
-    t = lam / se
-    p_zero = 0.5 * math.erfc(t * _SQRT_HALF)
-    below_scale = 0.5 * math.exp(-0.5 * t * t)
-    if a.size < _FEW_ELEMENTS:
-        values = [_rate_one(v, lam, se, below_scale) + p_zero for v in a.ravel().tolist()]
-        return np.array(values).reshape(a.shape)
-    a_se = a * se
-    x = t - a_se
-    # B overflows, or is inf - inf, only where x < 0, where it is not used
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-a * lam + 0.5 * (a_se * a_se))
-    above = (x >= 0.0) & (x < _NORMAL_TAIL_NEGLIGIBLE)
-    if above.any():
-        y = x[above] * _SQRT_HALF
-        out[above] *= 1.0 - 0.5 * _erfcx(y) * np.exp(-y * y)
-    below = x < 0.0
-    if below.any():
-        out[below] = below_scale * _erfcx(x[below] * -_SQRT_HALF)
-    return out + p_zero
-
-
-def _rate_one(a: float, lam: float, se: float, below_scale: float) -> float:
-    """B Phi(x) of _laplace_rate for one float a, rounded step for step as
-    the array code is."""
-    t = lam / se
-    a_se = a * se
-    x = t - a_se
-    if x < 0.0:
-        return below_scale * _erfcx_one(x * -_SQRT_HALF)
-    value = float(np.exp(-a * lam + 0.5 * (a_se * a_se)))
-    if x < _NORMAL_TAIL_NEGLIGIBLE:
-        y = x * _SQRT_HALF
-        value *= 1.0 - 0.5 * _erfcx_one(y) * float(np.exp(-y * y))
-    return value
+    return np.exp(-(lam / se) ** 2 * np.log1p(a * (se * se / lam)))
 
 
 class _LargestCdf:
     """P(largest pore in the volume <= d), exact over count and probability.
 
     Above the threshold u, with S the tail survival function and R the
-    clamped-Gaussian rate, P(max <= d | scale, shape) = E exp(-R V S(d)),
-    given in closed form by _laplace_rate (no tail pore, N = 0, included),
+    Gamma rate, P(max <= d | scale, shape) = E exp(-R V S(d)), given in
+    closed form by _laplace_rate (no tail pore, N = 0, included),
     and the CDF is its weighted mean over the (scale, shape) nodes: the
     point estimate, or in mode "all" the n x n rule of _param_rule,
     n = nodes_per_axis. Below u only volumes without tail pores contribute,
@@ -544,9 +445,9 @@ def sample_largest(
 ) -> LargestPoreDistribution:
     """Largest-pore distribution for a volume of interest.
 
-    Exceedance counts are Poisson with the rate drawn from its Gaussian
-    estimate (clamped at zero); (scale, shape) follow the estimator's
-    asymptotic bivariate normal. Volumes without tail pores fall back to
+    Exceedance counts are Poisson with a Gamma rate of the estimate's mean
+    and standard error, hence negative binomial; (scale, shape) follow the
+    estimator's asymptotic bivariate normal. Volumes without tail pores fall back to
     the sub-threshold empirical distribution, and volumes without any pore
     make up the "no pores" mass at diameter 0. The count and probability
     axes are integrated exactly at the histogram edges (see _LargestCdf).

@@ -35,15 +35,19 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class GpdParams:
-    """Threshold (um), scale (um) and shape of a Generalized Pareto tail."""
+    """Threshold (um), scale (um) and shape of a Generalized Pareto tail:
+    finite, with a positive scale."""
 
     threshold_um: float
     scale_um: float
     shape: float
 
     def __post_init__(self) -> None:
-        if not self.scale_um > 0:
-            raise ValueError(f"scale must be positive, got {self.scale_um}")
+        for key in ("threshold_um", "shape"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} = {getattr(self, key)} is not finite")
+        if not 0.0 < self.scale_um < math.inf:
+            raise ValueError(f"scale_um = {self.scale_um} is not finite and positive")
 
     @property
     def upper_support_um(self) -> float:
@@ -151,7 +155,10 @@ class TailFit:
     which case downstream uncertainty propagation refuses to run).
     The rate fields and the sub-threshold empirical sample are attached by
     extremes.fit_tail; plain estimator calls leave them None. A rate that
-    is set must be finite and nonnegative.
+    is set must be finite and nonnegative, and a zero rate above the
+    threshold must have a zero standard error (the rate is Gamma with that
+    mean and standard error). n_exceed is at least 1, and the sub-threshold
+    sample is finite, positive, sorted and at most the threshold.
     """
 
     params: GpdParams
@@ -171,10 +178,27 @@ class TailFit:
             value = getattr(self, key)
             if value is not None and not 0.0 <= value < np.inf:
                 raise ValueError(f"{key} = {value} is not a finite nonnegative rate")
+        if self.lambda_above_per_mm3 == 0.0 and (self.lambda_above_se or 0.0) > 0.0:
+            raise ValueError(
+                f"lambda_above_se = {self.lambda_above_se} is positive while "
+                "lambda_above_per_mm3 is 0"
+            )
+        if not self.n_exceed >= 1:
+            raise ValueError(f"n_exceed = {self.n_exceed} is not a positive count")
+        emp = self.empirical_below_um
+        if emp is not None:
+            emp = np.asarray(emp, dtype=float)
+            threshold = self.params.threshold_um
+            if not (np.all((emp > 0.0) & (emp <= threshold)) and np.all(np.diff(emp) >= 0.0)):
+                raise ValueError(
+                    "empirical_below_um must be sorted and lie in (0, threshold_um]"
+                )
         if self.covariance is not None:
             cov = np.asarray(self.covariance, dtype=float)
             if cov.shape != (2, 2):
                 raise ValueError("covariance must be 2x2")
+            if not np.all(np.isfinite(cov)):
+                raise ValueError(f"covariance = {cov.tolist()} is not finite")
             if not np.allclose(cov, cov.T):
                 raise ValueError("covariance must be symmetric")
             if np.any(np.linalg.eigvalsh(cov) < -1e-12 * max(1.0, cov.max())):

@@ -9,7 +9,10 @@ volumes and recording each maximum; they deliberately avoid the closed
 forms of the largest-pore engine so they can serve as independent
 references (tail draws come from scipy or from a plain power-form
 quantile, every count and tail size is drawn rather than integrated, and
-the output is an empirical CDF rather than a histogram).
+the output is an empirical CDF rather than a histogram). The fit-driven
+oracle also draws each volume's exceedance rate, from the Gamma law with
+the fitted rate's mean and standard error that the engine integrates
+over in closed form.
 """
 
 from __future__ import annotations
@@ -198,12 +201,13 @@ def brute_force_fit_largest(
 ) -> EmpiricalCdf:
     """Full-uncertainty brute-force oracle driven by a fitted tail.
 
-    Per replication: draw the rate from its Gaussian estimate (clamped at
-    zero), the tail count from Poisson, a fresh (scale, shape) pair from
-    the fit covariance (mode "all"), then every tail size, and record the
-    maximum. Zero-count replications resample the sub-threshold empirical
-    values. Mode "none" has no simulable randomness in the count and is
-    refused (use the closed form instead).
+    Per replication: draw the rate from the Gamma law of its estimate's
+    mean and standard error (numpy's Gamma sampler), the tail count from
+    Poisson, a fresh (scale, shape) pair from the fit covariance (mode
+    "all"), then every tail size, and record the maximum. Zero-count
+    replications resample the sub-threshold empirical values. Mode "none"
+    has no simulable randomness in the count and is refused (use the
+    closed form instead).
     """
     if uncertainty_mode not in ("poisson_only", "all"):
         raise ValueError("brute-force oracle supports poisson_only and all modes")
@@ -213,11 +217,11 @@ def brute_force_fit_largest(
         raise CovarianceUnavailableError("fit covariance unavailable")
 
     rng = np.random.default_rng(seed)
-    rates = np.maximum(
-        fit.lambda_above_per_mm3
-        + (fit.lambda_above_se or 0.0) * rng.standard_normal(n_replications),
-        0.0,
-    )
+    lam, se = fit.lambda_above_per_mm3, fit.lambda_above_se or 0.0
+    if se > 0.0:
+        rates = rng.gamma((lam / se) ** 2, se * se / lam, n_replications)
+    else:
+        rates = np.full(n_replications, lam)
     tail_counts = rng.poisson(rates * voi_mm3)
 
     if uncertainty_mode == "all":

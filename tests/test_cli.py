@@ -364,6 +364,30 @@ class TestPredict:
         if code:
             assert f"lambda_above_se = {value} is not a finite nonnegative rate" in err
 
+    @pytest.mark.parametrize("key, edit, named", [
+        ("n_exceed", lambda v: "-5", "n_exceed = -5 is not a positive count"),
+        ("empirical_below_um", lambda v: "nan," + v.split(",", 1)[1], "empirical_below_um"),
+        ("empirical_below_um", lambda v: ",".join([*v.split(",")[1::-1], *v.split(",")[2:]]),
+         "empirical_below_um"),
+        ("threshold_um", lambda v: "nan", "threshold_um = nan is not finite"),
+        ("xi", lambda v: "nan", "shape = nan is not finite"),
+        ("cov_xi_xi", lambda v: "inf", "covariance = "),
+    ], ids=["n_exceed-negative", "empirical-nan", "empirical-unsorted", "threshold-nan",
+            "xi-nan", "cov-inf"])
+    def test_malformed_fit_number_is_refused_by_field(self, tmp_path, capsys, key, edit, named):
+        # each used to exit 0 with a prediction, or 1 with an error from the
+        # engine that did not name the field
+        path = tmp_path / "fit.txt"
+        write_fit_report(synthetic_fit(), path)
+        path.write_text(re.sub(rf"^{key} = (.*)$", lambda m: f"{key} = {edit(m.group(1))}",
+                               path.read_text(), flags=re.M))
+        assert main(["predict", "--fit", str(path), "--volume", "10", "--seed", "1",
+                     "--mode", "all", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: {named}" in err
+        assert "Warning" not in err
+        assert not list(tmp_path.glob("*_cdf.csv"))
+
     @pytest.mark.parametrize("command", ["predict", "sweep"])
     def test_report_without_rates_is_data_error(self, tmp_path, capsys, command):
         path = tmp_path / "fit.txt"
@@ -723,10 +747,15 @@ def test_readme_library_block_runs(workspace, monkeypatch, capsys):
 
 
 def test_version_matches_pyproject():
+    # the version is declared once, in poretail.__version__, which
+    # pyproject.toml reads rather than repeats
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as handle:
-        assert tomllib.load(handle)["project"]["version"] == poretail.__version__
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "poretail.__version__"}
 
 
 def run_probe(source, *args):
@@ -802,8 +831,8 @@ for argv in (
 
 
 def test_predict_and_sweep_start_on_numpy_alone(tmp_path):
-    # the engine's normal tail is poretail's own (_erfcx), so no command but
-    # simulate loads scipy
+    # the engine's count law is a closed form in numpy (the Gamma rate's
+    # Laplace transform), so no command but simulate loads scipy
     table = tmp_path / "pores.csv"
     table.write_text(
         "pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n"

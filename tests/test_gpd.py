@@ -149,6 +149,35 @@ def test_tail_fit_refuses_a_rate_outside_its_domain(key, value):
     TailFit(GpdParams(0.0, 1.0, 0.1), None, "MLE", 100, **{key: 0.0})
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"n_exceed": 0}, "n_exceed = 0 is not a positive count"),
+    ({"lambda_above_per_mm3": 0.0, "lambda_above_se": 0.5},
+     "lambda_above_se = 0.5 is positive while lambda_above_per_mm3 is 0"),
+    ({"empirical_below_um": np.array([0.5, np.inf])}, "empirical_below_um must be sorted"),
+    ({"empirical_below_um": np.array([0.0, 0.5])}, "empirical_below_um must be sorted"),
+    ({"empirical_below_um": np.array([0.5, 1.5])}, "empirical_below_um must be sorted"),
+    ({"empirical_below_um": np.array([0.7, 0.5])}, "empirical_below_um must be sorted"),
+    ({"covariance": np.array([[1.0, 0.0], [0.0, np.nan]])}, r"covariance = .* is not finite"),
+])
+def test_tail_fit_refuses_numbers_outside_their_domain(changes, message):
+    fields = {"params": GpdParams(1.0, 1.0, 0.1), "covariance": None, "estimator": "MLE",
+              "n_exceed": 100, "empirical_below_um": np.array([0.5, 0.5, 1.0])}
+    TailFit(**fields)
+    with pytest.raises(ValueError, match=message):
+        TailFit(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("values, message", [
+    ((np.nan, 1.0, 0.1), "threshold_um = nan is not finite"),
+    ((0.0, 1.0, np.inf), "shape = inf is not finite"),
+    ((0.0, np.inf, 0.1), "scale_um = inf is not finite and positive"),
+    ((0.0, 0.0, 0.1), "scale_um = 0.0 is not finite and positive"),
+])
+def test_gpd_params_refuse_non_finite_values(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GpdParams(*values)
+
+
 class TestMle:
     def test_recovers_parameters_within_3se(self):
         x = simulate(0.3, 5000, 42, scale=1.0, threshold=10.0)
