@@ -9,7 +9,6 @@ attached only inside its domain.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, replace
 import math
 
@@ -157,8 +156,9 @@ class TailFit:
     extremes.fit_tail; plain estimator calls leave them None. A rate that
     is set must be finite and nonnegative, and a zero rate above the
     threshold must have a zero standard error (the rate is Gamma with that
-    mean and standard error). n_exceed is at least 1, and the sub-threshold
-    sample is finite, positive, sorted and at most the threshold.
+    mean and standard error). n_exceed is at least 1. The sub-threshold
+    sample is finite, positive, sorted and at most the threshold, so a fit
+    that carries it has a positive threshold.
     """
 
     params: GpdParams
@@ -189,6 +189,8 @@ class TailFit:
         if emp is not None:
             emp = np.asarray(emp, dtype=float)
             threshold = self.params.threshold_um
+            if not threshold > 0.0:
+                raise ValueError(f"threshold_um = {threshold} is not a positive diameter")
             if not (np.all((emp > 0.0) & (emp <= threshold)) and np.all(np.diff(emp) >= 0.0)):
                 raise ValueError(
                     "empirical_below_um must be sorted and lie in (0, threshold_um]"
@@ -258,149 +260,58 @@ def _profile(w: float, ratio: np.ndarray) -> tuple[float, float]:
     return shape / t, shape
 
 
-# _brentq and _minimize_bounded are ports of two solvers of scipy 1.17.1
-# (BSD-3-Clause, "Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
-# Developers"): the C loop of scipy's brentq (Zeros/brentq.c) and the loop
-# of _minimize_scalar_bounded, which minimize_scalar(method="bounded") runs.
-# Each keeps scipy's order of operations, so a fit is bit-identical to one
-# made with scipy's solvers, and fitting loads no scipy subpackage. Failures
-# that scipy returns as a status or raises as a RuntimeError raise FitError.
-_BRENTQ_XTOL = 2e-12
-_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
-_BRENTQ_MAXITER = 100
-_BOUNDED_XATOL = 1e-10
-_BOUNDED_MAXFUN = 500
+def _profile_nll(w: float, ratio: np.ndarray) -> float:
+    """Negative log-likelihood at _profile(w, ratio): there
+    sum log1p(theta y) = n shape, so it is n (log scale + shape + 1)."""
+    scale, shape = _profile(w, ratio)
+    return ratio.size * (math.log(scale) + shape + 1.0)
 
 
-def _checked(f, x: float) -> float:
-    fx = f(x)
+# the bisected bracket ends lie within _BRACKET_TOL of where the profile
+# shape crosses its bound; the golden-section search stops as scipy's
+# bounded search (xatol 1e-10) does
+_BRACKET_TOL = 1e-2
+_SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
+_XATOL = 1e-10
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _bracket_end(gap, w_far: float) -> float:
+    """End of the search bracket from w = 0 towards w_far: w_far if gap has
+    one sign there and at 0, else a point within _BRACKET_TOL of gap's root
+    on 0's side of it, found by bisection."""
+    sign0 = math.copysign(1.0, gap(0.0))
+    if gap(w_far) * sign0 > 0.0:
+        return w_far
+    near, far = 0.0, w_far
+    while abs(far - near) > _BRACKET_TOL:
+        mid = 0.5 * (near + far)
+        if gap(mid) * sign0 > 0.0:
+            near = mid
+        else:
+            far = mid
+    return near
+
+
+def _golden(f, a: float, b: float) -> tuple[float, float]:
+    """(x, f(x)) at a minimum of a unimodal f on [a, b] by golden-section
+    search (Kiefer 1953), until the bracket is at most
+    4 (sqrt(eps) |x| + 1e-10 / 3) wide."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 4.0 * (_SQRT_EPS * abs(c if fc <= fd else d) + _XATOL / 3.0):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x, fx = (c, fc) if fc <= fd else (d, fd)
     if math.isnan(fx):
-        raise FitError(f"the function value at x = {x!r} is NaN")
-    return fx
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f between xa and xb, where f changes sign (Brent 1973), as
-    scipy's brentq finds it with xtol 2e-12 and rtol 4 eps."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = _checked(f, xpre)
-    fcur = _checked(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise FitError(f"root search: f({xa!r}) and f({xb!r}) have the same sign")
-    for _ in range(_BRENTQ_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            # C divides by zero to an infinite or NaN step, which bisects
-            with contextlib.suppress(ZeroDivisionError):
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            # good short step
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = _checked(f, xcur)
-    raise FitError(f"root search did not converge in {_BRENTQ_MAXITER} iterations")
-
-
-def _minimize_bounded(func, lower: float, upper: float) -> tuple[float, float]:
-    """(x, func(x)) at a minimum of func on [lower, upper] by Brent's (1973)
-    golden-section and parabolic search, as scipy's minimize_scalar(method=
-    "bounded") finds it with xatol 1e-10 and at most 500 evaluations."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lower, upper
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + _BOUNDED_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        # check for a parabolic fit
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            # is the parabola acceptable?
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * (1.0 if xm >= xf else -1.0)
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + _BOUNDED_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BOUNDED_MAXFUN:
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise FitError("bounded search met a NaN objective")
-    if num >= _BOUNDED_MAXFUN:
-        raise FitError(f"bounded search did not converge in {_BOUNDED_MAXFUN} evaluations")
-    return xf, fx
+        raise FitError("golden-section search met a NaN objective")
+    return x, fx
 
 
 def fit_mle(
@@ -413,13 +324,13 @@ def fit_mle(
 
     The likelihood is maximized as a profile over theta = shape/scale
     (Grimshaw 1993): for fixed theta the shape MLE is mean log1p(theta y),
-    scale = shape/theta, and theta = 0 is the exponential limit. Brent's
-    (1973) root finder brackets theta where that shape lies in (-1, 20),
-    and his bounded minimiser searches the bracket (both ported from scipy,
-    above); if the likelihood rises towards shape -1, the fit is the uniform
-    limit (scale = max y, shape = -1). Covariance is attached only when the
-    fitted shape exceeds -0.5; otherwise the fit is flagged and covariance
-    is None.
+    scale = shape/theta, and theta = 0 is the exponential limit. Bisection
+    brackets theta where that shape lies in (-1, 20), and a golden-section
+    search minimises the profile's closed-form negative log-likelihood on
+    the bracket; if the likelihood rises towards shape -1, the fit is the
+    uniform limit (scale = max y, shape = -1). Covariance is attached only
+    when the fitted shape exceeds -0.5; otherwise the fit is flagged and
+    covariance is None.
     """
     y = _prepare_excess(exceedances, threshold_um, min_tail_count)
     # The search runs on the excesses scaled to a largest value of 1, in
@@ -427,18 +338,12 @@ def fit_mle(
     y_max = float(y.max())
     ratio = y / y_max
 
-    def bracket_end(shape_bound: float, w_far: float) -> float:
-        # The profile shape rises with w from 0 at w = 0; w_far closes the
-        # bracket when the bound lies beyond it.
-        gap = lambda w: _profile(w, ratio)[1] - shape_bound
-        if gap(w_far) * gap(0.0) > 0.0:
-            return w_far
-        return _brentq(gap, 0.0, w_far)
-
-    # w = log(eps) keeps theta above -1 and w = 700 keeps it finite
-    bounds = (bracket_end(-1.0, float(np.log(np.finfo(float).eps))), bracket_end(20.0, 700.0))
-    # gpd_nll is looked up at each call, so a wrapper that counts its calls sees them all
-    best_w, best_nll = _minimize_bounded(lambda w: gpd_nll(*_profile(w, ratio), ratio), *bounds)
+    # The profile shape rises with w from 0 at w = 0. The bracket ends where
+    # it reaches -1 and 20, or at w = log(eps), which keeps theta above -1,
+    # and w = 700, which keeps it finite.
+    lo = _bracket_end(lambda w: _profile(w, ratio)[1] + 1.0, float(np.log(np.finfo(float).eps)))
+    hi = _bracket_end(lambda w: _profile(w, ratio)[1] - 20.0, 700.0)
+    best_w, best_nll = _golden(lambda w: _profile_nll(w, ratio), lo, hi)
     scale, shape = _profile(best_w, ratio)
     # at shape = -1 the tail is uniform, most likely just above the largest excess
     edge = (float(np.nextafter(1.0, 2.0)), -1.0)

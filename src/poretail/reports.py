@@ -105,7 +105,10 @@ def write_fit_report(
     dest: str | Path,
     provenance: Mapping[str, object] | None = None,
 ) -> None:
-    """Serialize a fitted tail, including the sub-threshold empirical sample."""
+    """Serialize a fitted tail, including its rates and the sub-threshold
+    empirical sample."""
+    if any(getattr(fit, key) is None for key in RATE_KEYS):
+        raise ValueError("fit lacks rate estimates; build it with fit_tail()")
     items: list[tuple[str, object]] = [("format", FIT_FORMAT), ("toolkit_version", __version__)]
     items += list((provenance or {}).items())
     items += [
@@ -123,8 +126,7 @@ def write_fit_report(
             ("cov_sigma_xi", float(fit.covariance[0, 1])),
             ("cov_xi_xi", float(fit.covariance[1, 1])),
         ]
-    if fit.lambda_above_per_mm3 is not None:
-        items += [(key, getattr(fit, key) or 0.0) for key in RATE_KEYS]
+    items += [(key, getattr(fit, key)) for key in RATE_KEYS]
     items.append(("flags", "|".join(fit.flags)))
     emp = fit.empirical_below_um
     if emp is not None:

@@ -261,6 +261,20 @@ class TestFit:
                 "--threshold-mode manual ([threshold] mode)") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("threshold", ["-5", "0"])
+    def test_nonpositive_threshold_is_refused_by_name(self, workspace, tmp_path, capsys,
+                                                      threshold):
+        # the sub-threshold sample lies in (0, threshold]; a threshold of -5
+        # used to fit, and predict then put tail mass on (-5, 0]
+        code = main(["fit", "--input", str(workspace / "pores.csv"), "--specimen-id", "S",
+                     "--scanned-volume", "200", "--threshold-mode", "manual",
+                     "--threshold", threshold, "--candidates", "20",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"threshold_um = {float(threshold)} is not a positive diameter" in err
+        assert not list((tmp_path / "o").glob("*_fit.txt"))
+
 
 class TestPredict:
     def test_byte_identical_rerun(self, workspace, tmp_path):
@@ -397,6 +411,19 @@ class TestPredict:
                  else ["--volumes", "10", "--output", str(tmp_path / "sweep.csv")])
         assert main([command, "--fit", str(path), "--seed", "1", *where]) == 2
         assert f"{path}: 'lambda_below_se'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_report_with_nonpositive_threshold_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "fit.txt"
+        write_fit_report(synthetic_fit(n_below=0), path)
+        path.write_text(re.sub(r"^threshold_um = .*$", "threshold_um = -5.0",
+                               path.read_text(), flags=re.M))
+        where = (["--volume", "100", "--out-dir", str(tmp_path)] if command == "predict"
+                 else ["--volumes", "100", "--output", str(tmp_path / "sweep.csv")])
+        assert main([command, "--fit", str(path), "--seed", "1", *where]) == 2
+        assert (f"data error: {path}: threshold_um = -5.0 is not a positive diameter"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestCompare:
@@ -694,6 +721,14 @@ class TestReportRoundTrips:
         assert np.array_equal(back.covariance, fit.covariance)
         assert back.lambda_above_per_mm3 == fit.lambda_above_per_mm3
         assert np.array_equal(back.empirical_below_um, fit.empirical_below_um)
+
+    def test_fit_without_rates_is_refused_before_writing(self, tmp_path):
+        # the reader refuses a report without rates, so the writer does too
+        x = 20.0 + np.random.default_rng(3).exponential(2.0, 200)
+        path = tmp_path / "fit.txt"
+        with pytest.raises(ValueError, match=r"^fit lacks rate estimates; build it with fit_tail\(\)$"):
+            write_fit_report(poretail.fit_mle(x, 20.0), path)
+        assert not path.exists()
 
     def test_prediction_round_trip(self, tmp_path):
         import poretail as pt
