@@ -1,10 +1,10 @@
 """Batch command-line surface: geom, fit, predict, compare, sweep, simulate.
 
-Commands compose via files only. simulate, predict and sweep require a
-seed, and their outputs embed it, a hash of the effective configuration
-and the toolkit version, so re-running with the embedded values
-reproduces the output byte-identically. predict and sweep are
-deterministic: their values do not depend on the seed, which they echo.
+Commands compose via files only. The outputs of fit, predict, sweep and
+simulate embed a hash of the effective configuration and the toolkit
+version; simulate requires a seed and embeds it too, so re-running with
+the embedded values reproduces the output byte-identically. predict and
+sweep are deterministic: they accept a seed and ignore it.
 
 Each option is declared once, in the table of its INI section below: its
 flag, its config key, its type and its default.
@@ -36,7 +36,7 @@ from .extremes import (
     volume_sweep,
 )
 from .geometry import IngestError, dump_specimen, ingest_specimen
-from .gpd import FitError, GpdParams, qq_points
+from .gpd import MIN_TAIL_COUNT, FitError, GpdParams, qq_points
 from .reports import (
     ReportParseError,
     config_sha256,
@@ -49,6 +49,8 @@ from .reports import (
 )
 from .synthetic import BulkModel, GroundTruth, generate_specimen
 from .threshold import (
+    DEFAULT_STABILITY_TOLERANCE,
+    DEFAULT_STABILITY_WINDOW,
     SCAN_COLUMNS,
     ThresholdSelectionError,
     default_candidate_grid,
@@ -117,22 +119,21 @@ SPECIMEN = (
 THRESHOLD = (
     Option("--threshold-mode", "mode", str, "auto", choices=("auto", "manual")),
     Option("--threshold", "value", help="the threshold (um) of manual mode"),
-    Option("--min-tail-count", "min_tail_count", int, 30),
-    Option("--stability-tolerance", "stability_tolerance", float, 0.5),
-    Option("--stability-window", "stability_window", int, 3),
+    Option("--min-tail-count", "min_tail_count", int, MIN_TAIL_COUNT),
+    Option("--stability-tolerance", "stability_tolerance", float, DEFAULT_STABILITY_TOLERANCE),
+    Option("--stability-window", "stability_window", int, DEFAULT_STABILITY_WINDOW),
     Option("--candidates", "candidates", _floats(), help="comma-separated threshold grid (um)"),
 )
 MC = (
-    Option("--seed", "seed", int, REQUIRED,
-           help="mandatory and echoed; the result does not depend on it"),
-    Option("--mode", "mode", str, "all", choices=UNCERTAINTY_MODES),
-    Option("--count-samples", "count_samples", int, 1000,
+    Option("--seed", "seed", int, help="accepted and ignored: the result is deterministic"),
+    Option("--mode", "mode", str, McConfig.uncertainty_mode, choices=UNCERTAINTY_MODES),
+    Option("--count-samples", "count_samples", int, McConfig.n_count_samples,
            help="accepted and ignored: the count axis is exact"),
-    Option("--param-samples", "param_samples", int, 1000,
+    Option("--param-samples", "param_samples", int, McConfig.n_param_samples,
            help="accepted and ignored: (scale, shape) uses an adaptive rule"),
-    Option("--p-samples", "p_samples", int, 1000,
+    Option("--p-samples", "p_samples", int, McConfig.n_p_samples,
            help="accepted and ignored: the probability axis is exact"),
-    Option("--bins", "bins", int, 2048),
+    Option("--bins", "bins", int, McConfig.histogram_bins),
     Option("--workers", "workers", int, help="accepted and ignored"),
 )
 VOLUME = Option("--volume", "volume_mm3", float, REQUIRED)  # [mc], predict
@@ -247,17 +248,11 @@ def _input_path(path: str | Path) -> Path:
     return target
 
 
-def _config_hash(args, **inputs) -> str:
-    """Hash of the command, its input paths and every option it resolved."""
-    return config_sha256({"command": args.command, **inputs, **args.resolved})
-
-
 def _stamp(args, **inputs) -> dict:
-    return {
-        "seed": args.seed,
-        "config_sha256": _config_hash(args, **inputs),
-        "toolkit_version": __version__,
-    }
+    """Provenance of every output: the toolkit version and a hash of the
+    command, its input paths and every option it resolved."""
+    options = {"command": args.command, **inputs, **args.resolved}
+    return {"config_sha256": config_sha256(options), "toolkit_version": __version__}
 
 
 def _ingest(args) -> "SpecimenDataset":
@@ -270,7 +265,6 @@ def _ingest(args) -> "SpecimenDataset":
 
 def _mc_config(args) -> McConfig:
     return McConfig(
-        seed=args.seed,
         n_count_samples=args.count_samples,
         n_param_samples=args.param_samples,
         n_p_samples=args.p_samples,
@@ -316,11 +310,7 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = args.tag or dataset.specimen_id
-    provenance = {
-        "config_sha256": _config_hash(args, input=str(args.input)),
-        "toolkit_version": __version__,
-        "threshold_mode": args.threshold_mode,
-    }
+    provenance = {**_stamp(args, input=str(args.input)), "threshold_mode": args.threshold_mode}
     fit_path = out_dir / f"{tag}_fit.txt"
     write_fit_report(fit, fit_path, provenance={"config_sha256": provenance["config_sha256"]})
     write_table(out_dir / f"{tag}_scan.csv", SCAN_COLUMNS, scan.table_rows(), provenance)
@@ -424,7 +414,7 @@ def cmd_simulate(args) -> int:
         truth, args.seed, specimen_id=args.specimen_id or f"synthetic-{args.seed}"
     )
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        for key, value in _stamp(args).items():
+        for key, value in {"seed": args.seed, **_stamp(args)}.items():
             handle.write(f"# {key}={value}\n")
         dump_specimen(dataset, handle)
     print(

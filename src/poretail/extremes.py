@@ -95,11 +95,11 @@ class McConfig:
     Gauss-Hermite rule. The count and probability axes are integrated
     exactly and the rule chooses its own size, so the result depends on
     histogram_bins and uncertainty_mode only: seed, n_count_samples,
-    n_param_samples and n_p_samples are accepted, validated and echoed in
-    the provenance, but ignored; total_samples is their nominal product.
+    n_param_samples and n_p_samples are accepted and ignored (the counts
+    are still validated).
     """
 
-    seed: int
+    seed: int | None = None
     n_count_samples: int = 1000
     n_param_samples: int = 1000
     n_p_samples: int = 1000
@@ -117,10 +117,6 @@ class McConfig:
                 f"uncertainty_mode must be one of {UNCERTAINTY_MODES}, "
                 f"got {self.uncertainty_mode!r}"
             )
-
-    @property
-    def total_samples(self) -> int:
-        return self.n_count_samples * self.n_param_samples * self.n_p_samples
 
 
 def fit_tail(
@@ -458,8 +454,9 @@ def sample_largest(
     is reported, their difference as cdf_precision, and a rule still
     unconverged at the cap is flagged.
 
-    The result is deterministic. `workers`, the seed and the sample counts
-    of `config` are accepted and ignored.
+    The result is deterministic and its provenance names the fit, the
+    volume, the mode and the bin count. `workers`, the seed and the sample
+    counts of `config` are accepted and ignored.
     """
     if fit.lambda_above_per_mm3 is None or fit.lambda_below_per_mm3 is None:
         raise ValueError("fit lacks rate estimates; build it with fit_tail()")
@@ -502,11 +499,7 @@ def sample_largest(
             "fit_id": fit.fit_id,
             "volume_mm3": volume,
             "uncertainty_mode": mode,
-            "n_count_samples": config.n_count_samples,
-            "n_param_samples": config.n_param_samples,
-            "n_p_samples": config.n_p_samples,
             "histogram_bins": config.histogram_bins,
-            "seed": config.seed,
         },
         flags=tuple(flags),
         cdf_precision=precision,

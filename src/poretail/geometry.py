@@ -23,8 +23,6 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 # Pore-level measurements are in um / um^2 / um^3; specimen volumes in mm^3.
-UM3_PER_MM3 = 1.0e9
-
 REQUIRED_COLUMNS = (
     "pore_id",
     "volume_um3",

@@ -204,7 +204,7 @@ class TailFit:
             if not np.allclose(cov, cov.T):
                 raise ValueError("covariance must be symmetric")
             if np.any(np.linalg.eigvalsh(cov) < -1e-12 * max(1.0, cov.max())):
-                raise ValueError("covariance must be positive semi-definite")
+                raise ValueError(f"covariance = {cov.tolist()} is not positive semi-definite")
             object.__setattr__(self, "covariance", cov)
 
     @property

@@ -3,14 +3,15 @@
 Reports are flat "key = value" text; tables are comma-separated with a
 header row, optionally preceded by "# key=value" provenance comments.
 Floats are written with shortest round-trip formatting so that re-running
-a command with the same inputs and seed reproduces files byte-identically.
+a command with the same inputs (and, for simulate, seed) reproduces files
+byte-identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,42 +136,64 @@ def write_fit_report(
         _write_keyvalues(handle, items)
 
 
+# record fields whose refusal the fit report names by another key
+_REPORT_KEYS = {
+    "scale_um": "sigma_um",
+    "shape": "xi",
+    "covariance": "(cov_sigma_sigma, cov_sigma_xi, cov_xi_xi)",
+}
+
+
+def _float_list(text: str) -> np.ndarray:
+    return np.fromiter(map(float, text.split(",")), float) if text else np.empty(0)
+
+
 def read_fit_report(path: str | Path) -> TailFit:
+    """Rebuild a fitted tail; a missing, unparsable or out-of-domain value is
+    refused naming its key."""
     values = _read_keyvalues(path)
     if values.get("format") != FIT_FORMAT:
         raise ReportParseError(f"{path}: not a {FIT_FORMAT} report")
+
+    def parsed(key: str, parse: Callable = float):
+        try:
+            return parse(values[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
     try:
         params = GpdParams(
-            threshold_um=float(values["threshold_um"]),
-            scale_um=float(values["sigma_um"]),
-            shape=float(values["xi"]),
+            threshold_um=parsed("threshold_um"),
+            scale_um=parsed("sigma_um"),
+            shape=parsed("xi"),
         )
         covariance = None
         if values.get("covariance_available") == "true":
-            css = float(values["cov_sigma_sigma"])
-            csx = float(values["cov_sigma_xi"])
-            cxx = float(values["cov_xi_xi"])
+            css = parsed("cov_sigma_sigma")
+            csx = parsed("cov_sigma_xi")
+            cxx = parsed("cov_xi_xi")
             covariance = np.array([[css, csx], [csx, cxx]])
         empirical = None
         if "empirical_below_um" in values:
-            text = values["empirical_below_um"]
-            empirical = (
-                np.fromiter(map(float, text.split(",")), float) if text else np.empty(0)
-            )
+            empirical = parsed("empirical_below_um", _float_list)
         flags = tuple(f for f in values.get("flags", "").split("|") if f)
 
         return TailFit(
             params=params,
             covariance=covariance,
             estimator=values.get("estimator", ""),
-            n_exceed=int(values["n_exceed"]),
+            n_exceed=parsed("n_exceed", int),
             flags=flags,
             fit_id=values.get("fit_id", ""),
-            **{key: float(values[key]) for key in RATE_KEYS},
+            **{key: parsed(key) for key in RATE_KEYS},
             empirical_below_um=empirical,
         )
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise ReportParseError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        # each refusal starts with the record field it names
+        field, _, rest = str(exc).partition(" ")
+        raise ReportParseError(f"{path}: {_REPORT_KEYS.get(field, field)} {rest}") from exc
 
 
 def prediction_paths(prefix: str | Path) -> tuple[Path, Path]:
@@ -236,14 +259,7 @@ def _read_cdf_table(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 # summary keys that are not provenance, and the provenance that is not text
 _NOT_PROVENANCE = frozenset(("format", "toolkit_version", "dist_flags", *_SUMMARY_FIELDS))
-_TYPED_PROVENANCE = {
-    "volume_mm3": float,
-    "seed": int,
-    "histogram_bins": int,
-    "n_count_samples": int,
-    "n_param_samples": int,
-    "n_p_samples": int,
-}
+_TYPED_PROVENANCE = {"volume_mm3": float, "histogram_bins": int}
 
 
 def read_prediction(prefix: str | Path) -> LargestPoreDistribution:

@@ -158,15 +158,19 @@ def stability_scan(
 ) -> ThresholdScan:
     """Fit the tail at every candidate and score forward-window stability.
 
-    The score at a candidate is the largest change of the shape estimate
-    and of the modified scale over the next `window` candidates, measured
-    in that candidate's standard errors; a candidate passes when the score
-    is at most `tolerance`. Candidates whose fit fails are kept but marked
-    unusable.
+    Repeated candidates are scanned once. The score at a candidate is the
+    largest change of the shape estimate and of the modified scale over the
+    usable candidates among the next `window` (at least 1), measured in
+    that candidate's standard errors; a candidate passes when the score is
+    at most `tolerance`. A candidate with no usable candidate in its window
+    is left unscored and does not pass. Candidates whose fit fails are kept
+    but marked unusable.
     """
+    if window < 1:
+        raise ValueError(f"stability window = {window} must be at least 1 candidate")
     d = _as_diameters(data)
     scan = ThresholdScan(candidates=[])
-    for mu in np.sort(np.asarray(candidates, dtype=float)):
+    for mu in np.unique(np.asarray(candidates, dtype=float)):
         exceed = d[d > mu]
         if exceed.size < min_tail_count:
             warnings.warn(
@@ -205,6 +209,8 @@ def stability_scan(
             for c in scan.candidates[k + 1 : k + 1 + window]
             if c.usable
         ]
+        if not forward:
+            continue
         score = 0.0
         for other in forward:
             score = max(

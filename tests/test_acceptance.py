@@ -194,38 +194,42 @@ def test_criterion_09_volume_sweep_plateau():
            f"97.5th percentile bounded by {bound:.2f} um")
 
 
-def test_criterion_10_performance_and_determinism():
+def test_criterion_10_performance_and_determinism(monkeypatch):
+    # the engine evaluates the (scale, shape) nodes in blocks of at most
+    # _CHUNK_ELEMENTS node-diameter pairs; the result must not depend on the
+    # block size, from one node per block to blocks 16 times the default
     fit = synthetic_fit(threshold=20.0, scale=3.0, shape=0.1, n_exceed=100_000,
                         lam_above=100.0, lam_below=50.0, n_below=500, emp_seed=1)
     voi = pt.VolumeOfInterest(2.0)
-    cfg = pt.McConfig(seed=21, n_count_samples=464, n_param_samples=464,
-                      n_p_samples=464, uncertainty_mode="all")
-    assert cfg.total_samples == 464**3
+    cfg = pt.McConfig(uncertainty_mode="all")
+    sizes = (pt.extremes._CHUNK_ELEMENTS, 1, 100_003, 1 << 20)
 
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     runs = {}
     timings = {}
-    for workers in (1, 4, 8):
+    for size in sizes:
+        monkeypatch.setattr(pt.extremes, "_CHUNK_ELEMENTS", size)
         t0 = time.perf_counter()
-        runs[workers] = pt.sample_largest(fit, voi, cfg, workers=workers)
-        timings[workers] = time.perf_counter() - t0
-        assert timings[workers] < 300.0, f"{workers} workers took {timings[workers]:.0f}s"
+        runs[size] = pt.sample_largest(fit, voi, cfg)
+        timings[size] = time.perf_counter() - t0
+        assert timings[size] < 300.0, f"blocks of {size} took {timings[size]:.0f}s"
     rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    ref = runs[1]
-    for workers in (4, 8):
-        other = runs[workers]
+    ref = runs[sizes[0]]
+    assert ref.nodes_per_axis > 1
+    for size in sizes[1:]:
+        other = runs[size]
         assert ref.pdf_mass.tobytes() == other.pdf_mass.tobytes()
         assert ref.cdf_at_edges.tobytes() == other.cdf_at_edges.tobytes()
         assert ref.bin_edges_um.tobytes() == other.bin_edges_um.tobytes()
-        assert ref.mean_um == other.mean_um
-        assert ref.no_pore_mass == other.no_pore_mass
-        assert ref.overflow_mass == other.overflow_mass
+        assert ref.summary() == other.summary()
 
-    # streaming fold: the in-process run must not materialize the sample cube
-    # (~800 MB at 1e8 doubles); allow generous slack for allocator noise
+    # bounded blocks: no run materializes all nodes x diameters at once;
+    # allow generous slack for allocator noise
     rss_delta_mb = (rss_after - rss_before) / 1024.0
     assert rss_delta_mb < 500.0, f"peak RSS grew {rss_delta_mb:.0f} MB"
     report(10, "performance and determinism",
-           f"1e8 combinations in {timings[1]:.1f}s/{timings[4]:.1f}s/{timings[8]:.1f}s "
-           f"(1/4/8 workers), byte-identical, RSS delta {rss_delta_mb:.0f} MB")
+           f"{ref.n_samples_total} (scale, shape) nodes in "
+           + "/".join(f"{timings[size]:.2f}s" for size in sizes)
+           + f" (blocks of {'/'.join(map(str, sizes))} pairs), byte-identical, "
+           f"RSS delta {rss_delta_mb:.0f} MB")

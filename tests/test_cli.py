@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import poretail
 from poretail.cli import main
@@ -21,6 +22,11 @@ from poretail.reports import (
 
 from conftest import differing_fields, synthetic_fit
 
+# the numeric keys of a fit report
+FIT_NUMBER_KEYS = (
+    "threshold_um", "sigma_um", "xi", "n_exceed", "cov_sigma_sigma", "cov_sigma_xi", "cov_xi_xi",
+    *poretail.gpd.RATE_KEYS, "empirical_below_um",
+)
 TRUTH_FLAGS = [
     "--threshold", "20", "--sigma", "3", "--xi", "0.1",
     "--lambda-above", "10", "--lambda-below", "40", "--volume", "200",
@@ -275,6 +281,24 @@ class TestFit:
         assert f"threshold_um = {float(threshold)} is not a positive diameter" in err
         assert not list((tmp_path / "o").glob("*_fit.txt"))
 
+    def test_stability_window_below_one_is_usage_error(self, workspace, tmp_path, capsys):
+        # a window of 0 compared nothing, so every usable candidate passed
+        code = main(["fit", "--input", str(workspace / "pores.csv"), "--specimen-id", "S",
+                     "--scanned-volume", "200", "--stability-window", "0",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "usage error: stability window = 0 must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_candidates_are_scanned_once(self, workspace, tmp_path, capsys):
+        # 5 um used to be compared with itself, pass and be selected; alone,
+        # it has nothing to be compared with
+        code = main(["fit", "--input", str(workspace / "pores.csv"), "--specimen-id", "S",
+                     "--scanned-volume", "200", "--candidates", "5,5,5,5",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert "no candidate threshold passed" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_byte_identical_rerun(self, workspace, tmp_path):
@@ -316,10 +340,9 @@ class TestPredict:
         fit = str(workspace / "run" / "syn_fit.txt")
 
         def values(path):
-            # everything but the echoed seed, sample counts and config hash
-            echoed = ("seed", "n_param_samples", "config_sha256")
+            # everything but the config hash, which covers every option given
             return [line for line in path.read_text().splitlines()
-                    if not line.lstrip("# ").startswith(echoed)]
+                    if not line.lstrip("# ").startswith("config_sha256")]
 
         for seed, samples in (("1", "20"), ("2", "999")):
             common = ["--fit", fit, "--seed", seed, "--mode", "all", "--param-samples", samples]
@@ -330,10 +353,28 @@ class TestPredict:
         for name in ("p_cdf.csv", "p_summary.txt", "sweep.csv"):
             assert values(tmp_path / "1" / name) == values(tmp_path / "2" / name)
 
-    def test_seed_mandatory(self, workspace, tmp_path):
-        code = main(["predict", "--fit", str(workspace / "run" / "syn_fit.txt"),
-                     "--volume", "100", "--out-dir", str(tmp_path)])
-        assert code == 1
+    def test_seed_optional_and_ignored(self, workspace, tmp_path, capsys):
+        # predict and sweep need no seed, and neither they nor the ignored
+        # sample counts are written out; simulate still requires its seed
+        fit = str(workspace / "run" / "syn_fit.txt")
+        ignored = ["--seed", "11", "--count-samples", "464", "--param-samples", "464",
+                   "--p-samples", "464", "--bins", "2048", "--workers", "1"]
+        for name, flags in (("bare", []), ("plan", ignored)):
+            out = tmp_path / name
+            assert main(["predict", "--fit", fit, "--volume", "100", *flags,
+                         "--out-dir", str(out), "--tag", "p"]) == 0
+            assert main(["sweep", "--fit", fit, "--volumes", "25,100", *flags,
+                         "--output", str(out / "sweep.csv")]) == 0
+        echoed = ("seed", "n_count_samples", "n_param_samples", "n_p_samples")
+        for name in ("p_cdf.csv", "p_summary.txt", "sweep.csv"):
+            bare, plan = ((tmp_path / run / name).read_text().splitlines()
+                          for run in ("bare", "plan"))
+            assert not [line for line in bare + plan if line.lstrip("# ").startswith(echoed)]
+            assert [l for l in bare if "config_sha256" not in l] == [
+                l for l in plan if "config_sha256" not in l]
+        capsys.readouterr()
+        assert main(["simulate", *TRUTH_FLAGS, "--output", str(tmp_path / "s.csv")]) == 1
+        assert "missing required option: --seed (or [truth] seed)" in capsys.readouterr().err
 
     def test_nonpositive_volume_is_usage_error(self, workspace, tmp_path):
         code = main(["predict", "--fit", str(workspace / "run" / "syn_fit.txt"),
@@ -353,7 +394,8 @@ class TestPredict:
         lines = (workspace / "run" / "pred_summary.txt").read_text().splitlines()
         keys = [line.split(" = ")[0] for line in lines]
         assert len(keys) == len(set(keys)), keys
-        assert {"seed", "toolkit_version", "config_sha256"} <= set(keys)
+        assert {"toolkit_version", "config_sha256", "histogram_bins"} <= set(keys)
+        assert not {"seed", "n_count_samples", "n_param_samples", "n_p_samples"} & set(keys)
 
     def test_covariance_refusal_is_statistical_error(self, tmp_path):
         fit = synthetic_fit(with_covariance=False)
@@ -384,10 +426,19 @@ class TestPredict:
         ("empirical_below_um", lambda v: ",".join([*v.split(",")[1::-1], *v.split(",")[2:]]),
          "empirical_below_um"),
         ("threshold_um", lambda v: "nan", "threshold_um = nan is not finite"),
-        ("xi", lambda v: "nan", "shape = nan is not finite"),
-        ("cov_xi_xi", lambda v: "inf", "covariance = "),
+        ("xi", lambda v: "nan", "xi = nan is not finite"),
+        ("cov_xi_xi", lambda v: "inf", "(cov_sigma_sigma, cov_sigma_xi, cov_xi_xi) = "),
+        ("sigma_um", lambda v: "-1", "sigma_um = -1.0 is not finite and positive"),
+        ("xi", lambda v: "inf", "xi = inf is not finite"),
+        ("cov_sigma_xi", lambda v: "-5",
+         "(cov_sigma_sigma, cov_sigma_xi, cov_xi_xi) = [["),
+        ("n_exceed", lambda v: "nan", "n_exceed: invalid literal for int()"),
+        ("sigma_um", lambda v: "abc", "sigma_um: could not convert string to float: 'abc'"),
+        ("empirical_below_um", lambda v: v.replace(",", ",abc,", 1),
+         "empirical_below_um: could not convert string to float: 'abc'"),
     ], ids=["n_exceed-negative", "empirical-nan", "empirical-unsorted", "threshold-nan",
-            "xi-nan", "cov-inf"])
+            "xi-nan", "cov-inf", "sigma-negative", "xi-inf", "cov-not-psd", "n_exceed-nan",
+            "sigma-text", "empirical-text"])
     def test_malformed_fit_number_is_refused_by_field(self, tmp_path, capsys, key, edit, named):
         # each used to exit 0 with a prediction, or 1 with an error from the
         # engine that did not name the field
@@ -401,6 +452,32 @@ class TestPredict:
         assert f"data error: {path}: {named}" in err
         assert "Warning" not in err
         assert not list(tmp_path.glob("*_cdf.csv"))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(FIT_NUMBER_KEYS), value=st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "", "1e999"]),
+        st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(max_value=-1).map(str),
+        st.text("abcxyz_", min_size=1),
+    ))
+    def test_edited_fit_number_reads_back_or_is_refused_by_key(self, workspace, tmp_path,
+                                                               capsys, key, value):
+        # one number of a report written by fit replaced at a time
+        path = tmp_path / "edited.txt"
+        text = (workspace / "run" / "syn_fit.txt").read_text()
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+        try:
+            fit = read_fit_report(path)
+        except ReportParseError:
+            capsys.readouterr()
+            assert main(["predict", "--fit", str(path), "--volume", "10", "--mode", "none",
+                         "--out-dir", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert f"poretail: data error: {path}: " in err
+            assert key in err.split(f"{path}: ", 1)[1], err
+        else:
+            assert isinstance(fit, poretail.TailFit)
 
     @pytest.mark.parametrize("command", ["predict", "sweep"])
     def test_report_without_rates_is_data_error(self, tmp_path, capsys, command):
@@ -751,10 +828,13 @@ class TestReportRoundTrips:
         import poretail as pt
 
         dist = pt.sample_largest(synthetic_fit(), pt.VolumeOfInterest(2.0),
-                                 pt.McConfig(seed=1, histogram_bins=64, uncertainty_mode=mode))
-        _, summary_path = write_prediction(dist, tmp_path / "pred", provenance={"seed": 1})
+                                 pt.McConfig(histogram_bins=64, uncertainty_mode=mode))
+        _, summary_path = write_prediction(dist, tmp_path / "pred")
         back = read_prediction(tmp_path / "pred")
         assert differing_fields(back, dist) == []
+        # the typed provenance reads back typed
+        assert back.provenance["histogram_bins"] == 64
+        assert back.provenance["volume_mm3"] == 2.0
         # the summary file ends with summary() in its order, then the flags
         keys = [line.split(" = ")[0] for line in summary_path.read_text().splitlines()]
         assert keys[-len(dist.summary()) - 1:] == [*dist.summary(), "dist_flags"]

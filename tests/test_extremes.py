@@ -294,13 +294,19 @@ class TestSampleLargest:
         assert np.all(np.asarray(large.cdf(grid)) <= np.asarray(small.cdf(grid)) + 0.01)
 
     def test_provenance_echo(self, basic_fit):
+        # the provenance names what determines the result, and none of the
+        # seed and sample counts that are accepted and ignored
         cfg = McConfig(seed=19, n_count_samples=4, n_param_samples=4,
-                       n_p_samples=4, uncertainty_mode="poisson_only")
+                       n_p_samples=4, histogram_bins=64, uncertainty_mode="poisson_only")
         dist = sample_largest(basic_fit, VolumeOfInterest(5.0), cfg)
-        assert dist.provenance["seed"] == 19
-        assert dist.provenance["volume_mm3"] == 5.0
-        assert dist.provenance["fit_id"] == basic_fit.fit_id
+        assert dist.provenance == {
+            "fit_id": basic_fit.fit_id,
+            "volume_mm3": 5.0,
+            "uncertainty_mode": "poisson_only",
+            "histogram_bins": 64,
+        }
         assert dist.n_samples_total == 1
+        assert McConfig().seed is None
 
 
 def fine_rule_cdf(fit, volume, d, nodes=96):

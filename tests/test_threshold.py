@@ -143,6 +143,30 @@ class TestStabilityScan:
             )
             assert a.passes == b.passes
 
+    def test_candidate_without_usable_forward_is_unscored(self):
+        # the last candidate has nothing ahead of it to compare with; it used
+        # to score 0.0 and pass, so a lone candidate was always selected
+        x = gpd_sample(0.1, 3000, 13)
+        scan = stability_scan(x, np.quantile(x, [0.3, 0.5, 0.7]))
+        assert all(np.isfinite(c.stability_score) for c in scan.candidates[:-1])
+        last = scan.candidates[-1]
+        assert last.usable and np.isnan(last.stability_score) and not last.passes
+        lone = stability_scan(x, [np.quantile(x, 0.5)])
+        with pytest.raises(ThresholdSelectionError, match="no candidate threshold passed"):
+            select_threshold(lone, "auto")
+
+    def test_repeated_candidates_scanned_once(self):
+        x = gpd_sample(0.1, 3000, 13)
+        grid = np.quantile(x, [0.3, 0.5, 0.7])
+        rows = lambda scan: [tuple(map(repr, row)) for row in scan.table_rows()]
+        assert rows(stability_scan(x, np.repeat(grid, 3)[::-1])) == rows(stability_scan(x, grid))
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_refused(self, window):
+        x = gpd_sample(0.1, 3000, 13)
+        with pytest.raises(ValueError, match=rf"stability window = {window} must be at least 1"):
+            stability_scan(x, np.quantile(x, [0.3, 0.5]), window=window)
+
 
 class TestSelectThreshold:
     def scan_with_passes(self, passes):
