@@ -314,15 +314,15 @@ def cmd_fit(args) -> int:
     fit_path = out_dir / f"{tag}_fit.txt"
     write_fit_report(fit, fit_path, provenance={"config_sha256": provenance["config_sha256"]})
     write_table(out_dir / f"{tag}_scan.csv", SCAN_COLUMNS, scan.table_rows(), provenance)
-    exceed = dataset.diameters_um[dataset.diameters_um > threshold]
     write_table(
         out_dir / f"{tag}_qq.csv",
         ("theoretical_um", "sample_um"),
-        qq_points(fit, exceed).tolist(),
+        qq_points(fit, fit.exceedances_um).tolist(),
         provenance,
     )
-    se_sigma = f"{fit.scale_se:.6g}" if fit.scale_se is not None else "n/a"
-    se_xi = f"{fit.shape_se:.6g}" if fit.shape_se is not None else "n/a"
+    se_sigma, se_xi = ("n/a", "n/a") if fit.covariance is None else (
+        f"{se:.6g}" for se in np.sqrt(np.diag(fit.covariance))
+    )
     print(
         f"fit: {fit.fit_id} threshold={threshold:g}um estimator={fit.estimator} "
         f"sigma={fit.params.scale_um:.6g}(se {se_sigma}) "

@@ -95,8 +95,7 @@ class McConfig:
     Gauss-Hermite rule. The count and probability axes are integrated
     exactly and the rule chooses its own size, so the result depends on
     histogram_bins and uncertainty_mode only: seed, n_count_samples,
-    n_param_samples and n_p_samples are accepted and ignored (the counts
-    are still validated).
+    n_param_samples and n_p_samples are accepted and ignored.
     """
 
     seed: int | None = None
@@ -107,9 +106,6 @@ class McConfig:
     uncertainty_mode: str = "all"
 
     def __post_init__(self) -> None:
-        for name in ("n_count_samples", "n_param_samples", "n_p_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.histogram_bins < 16:
             raise ValueError("histogram_bins must be >= 16")
         if self.uncertainty_mode not in UNCERTAINTY_MODES:
@@ -126,24 +122,51 @@ def fit_tail(
     min_tail_count: int = MIN_TAIL_COUNT,
     fit_id: str | None = None,
 ) -> TailFit:
-    """Fit the tail of a specimen and attach rates and the sub-threshold sample.
-
-    The Poisson rate on each side of the threshold is the pore count over
-    the scanned volume, with standard error sqrt(count) / volume.
-    """
+    """Fit the tail of a specimen at a threshold with fit_exceedances."""
     d = dataset.diameters_um
-    volume = dataset.scanned_volume_mm3
-    exceed = d[d > threshold_um]
-    below = np.sort(d[d <= threshold_um])
-    fit = select_estimator(exceed, threshold_um, min_tail_count=min_tail_count)
+    return fit_exceedances(
+        d[d > threshold_um],
+        np.sort(d[d <= threshold_um]),
+        threshold_um,
+        dataset.scanned_volume_mm3,
+        min_tail_count=min_tail_count,
+        fit_id=fit_id or f"{dataset.specimen_id}@{threshold_um:g}um",
+    )
+
+
+def fit_exceedances(
+    exceedances_um: np.ndarray,
+    below_um: np.ndarray,
+    threshold_um: float,
+    scanned_volume_mm3: float,
+    *,
+    min_tail_count: int = MIN_TAIL_COUNT,
+    fit_id: str = "",
+) -> TailFit:
+    """Fit the tail to the exceedances of a threshold and attach them, the
+    sorted sub-threshold sample below_um, the scanned volume and the
+    Poisson rates: each side's pore count over the volume, with standard
+    error sqrt(count) / volume. A threshold or volume outside its domain,
+    or an exceedance not above the threshold, is refused by name before the
+    fit."""
+    if not 0.0 < threshold_um < np.inf:
+        raise ValueError(f"threshold_um = {threshold_um} is not a positive diameter")
+    if not 0.0 < scanned_volume_mm3 < np.inf:
+        raise ValueError(f"scanned_volume_mm3 = {scanned_volume_mm3} is not finite and positive")
+    if not np.all(np.asarray(exceedances_um) > threshold_um):
+        raise ValueError("exceedances_um must lie above threshold_um")
+    fit = select_estimator(exceedances_um, threshold_um, min_tail_count=min_tail_count)
+    n_above, n_below = fit.n_exceed, np.size(below_um)
     return replace(
         fit,
-        fit_id=fit_id or f"{dataset.specimen_id}@{threshold_um:g}um",
-        lambda_above_per_mm3=exceed.size / volume,
-        lambda_above_se=float(np.sqrt(exceed.size)) / volume,
-        lambda_below_per_mm3=below.size / volume,
-        lambda_below_se=float(np.sqrt(below.size)) / volume,
-        empirical_below_um=below,
+        fit_id=fit_id,
+        lambda_above_per_mm3=n_above / scanned_volume_mm3,
+        lambda_above_se=float(np.sqrt(n_above)) / scanned_volume_mm3,
+        lambda_below_per_mm3=n_below / scanned_volume_mm3,
+        lambda_below_se=float(np.sqrt(n_below)) / scanned_volume_mm3,
+        empirical_below_um=below_um,
+        exceedances_um=exceedances_um,
+        scanned_volume_mm3=scanned_volume_mm3,
     )
 
 

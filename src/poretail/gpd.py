@@ -131,9 +131,8 @@ def mom_covariance(scale_um: float, shape: float, n_exceed: int) -> np.ndarray:
         raise ValueError(
             f"MOM covariance requires shape < {MOM_SHAPE_CEIL}, got {shape}"
         )
-    for pole in (1.0 / 3.0, 0.25, 0.5):
-        if abs(shape - pole) < 1e-12:
-            raise ValueError(f"MOM covariance prefactor pole at shape = {pole}")
+    if abs(shape - 0.25) < 1e-12:  # the prefactor's only pole below MOM_SHAPE_CEIL
+        raise ValueError("MOM covariance prefactor pole at shape = 0.25")
     pref = (1.0 - shape) ** 2 / (n_exceed * (1.0 - 3.0 * shape) * (1.0 - 4.0 * shape))
     c_ss = 2.0 * scale_um**2 * (1.0 - 6.0 * shape + 12.0 * shape**2) / (1.0 - 2.0 * shape)
     c_sx = scale_um * (1.0 - 4.0 * shape + 12.0 * shape**2)
@@ -147,18 +146,19 @@ RATE_KEYS = ("lambda_above_per_mm3", "lambda_above_se", "lambda_below_per_mm3", 
 
 @dataclass(frozen=True, eq=False)
 class TailFit:
-    """A fitted tail: parameters, covariance, provenance and rates.
+    """A fitted tail: parameters, covariance, provenance, rates and data.
 
     covariance is the 2x2 matrix over (scale, shape), or None when the
     estimate sits outside the estimator's asymptotic-normality domain (in
     which case downstream uncertainty propagation refuses to run).
-    The rate fields and the sub-threshold empirical sample are attached by
-    extremes.fit_tail; plain estimator calls leave them None. A rate that
-    is set must be finite and nonnegative, and a zero rate above the
-    threshold must have a zero standard error (the rate is Gamma with that
-    mean and standard error). n_exceed is at least 1. The sub-threshold
-    sample is finite, positive, sorted and at most the threshold, so a fit
-    that carries it has a positive threshold.
+    The rates, the sub-threshold empirical sample, the exceedances (in the
+    order they were fitted) and the scanned volume are attached by
+    extremes.fit_exceedances; plain estimator calls leave them None. A
+    rate that is set must be finite and nonnegative, and a zero rate above
+    the threshold must have a zero standard error (the rate is Gamma with
+    that mean and standard error). n_exceed is at least 1. The
+    sub-threshold sample is finite, positive, sorted and at most the
+    threshold, so a fit that carries it has a positive threshold.
     """
 
     params: GpdParams
@@ -172,6 +172,8 @@ class TailFit:
     lambda_below_per_mm3: float | None = None
     lambda_below_se: float | None = None
     empirical_below_um: np.ndarray | None = None
+    exceedances_um: np.ndarray | None = None
+    scanned_volume_mm3: float | None = None
 
     def __post_init__(self) -> None:
         for key in RATE_KEYS:
@@ -207,23 +209,9 @@ class TailFit:
                 raise ValueError(f"covariance = {cov.tolist()} is not positive semi-definite")
             object.__setattr__(self, "covariance", cov)
 
-    @property
-    def scale_se(self) -> float | None:
-        if self.covariance is None:
-            return None
-        return float(np.sqrt(self.covariance[0, 0]))
-
-    @property
-    def shape_se(self) -> float | None:
-        if self.covariance is None:
-            return None
-        return float(np.sqrt(self.covariance[1, 1]))
-
 
 def _prepare_excess(exceedances, threshold_um: float, min_tail_count: int) -> np.ndarray:
-    x = np.asarray(exceedances, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
+    x = np.asarray(exceedances, dtype=float).ravel()
     if x.size < min_tail_count:
         raise FitError(
             f"need at least {min_tail_count} exceedances, got {x.size}"
@@ -231,8 +219,7 @@ def _prepare_excess(exceedances, threshold_um: float, min_tail_count: int) -> np
     if np.any(x < threshold_um):
         raise FitError("exceedances must lie at or above the threshold")
     y = x - threshold_um
-    # NaN and inf give a NaN variance
-    if not np.var(y) > 0.0:
+    if not (np.all(np.isfinite(y)) and np.var(y) > 0.0):
         raise FitError("exceedances need a finite, non-zero variance; tail is degenerate")
     return y
 
@@ -274,6 +261,9 @@ _BRACKET_TOL = 1e-2
 _SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 _XATOL = 1e-10
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# Builds of numpy that round the profile differently may end the search a
+# few stopping widths apart; a fitted number reads back within a thousand.
+REFIT_RTOL, REFIT_ATOL = 1e3 * _SQRT_EPS, 1e3 * _XATOL
 
 
 def _bracket_end(gap, w_far: float) -> float:
@@ -383,8 +373,6 @@ def fit_mom(
     ratio = mean * mean / float(np.var(y, ddof=1))
     shape = 0.5 * (1.0 - ratio)
     scale = 0.5 * mean * (1.0 + ratio)
-    if not scale > 0:
-        raise FitError(f"MOM produced non-positive scale {scale}")
     flags: tuple[str, ...] = ()
     covariance = None
     if shape < MOM_SHAPE_CEIL:
@@ -418,11 +406,8 @@ def select_estimator(
     mle = fit_mle(exceedances, threshold_um, min_tail_count=min_tail_count)
     if mle.params.shape > MLE_SHAPE_FLOOR:
         return mle
-    try:
-        mom = fit_mom(exceedances, threshold_um, min_tail_count=min_tail_count)
-    except FitError:
-        mom = None
-    if mom is not None and mom.params.shape < MOM_SHAPE_CEIL:
+    mom = fit_mom(exceedances, threshold_um, min_tail_count=min_tail_count)
+    if mom.params.shape < MOM_SHAPE_CEIL:
         return mom
     return replace(mle, flags=mle.flags + (FLAG_NO_VALID_DOMAIN,))
 

@@ -10,15 +10,16 @@ byte-identically.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution
+from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution, fit_exceedances
 from .geometry import _quote_cell
-from .gpd import RATE_KEYS, GpdParams, TailFit
+from .gpd import RATE_KEYS, REFIT_ATOL, REFIT_RTOL, FitError, TailFit
 
 FIT_FORMAT = "poretail-fit/1"
 PREDICTION_FORMAT = "poretail-prediction/1"
@@ -101,99 +102,109 @@ def _read_keyvalues(path: str | Path) -> dict[str, str]:
     return values
 
 
-def write_fit_report(
-    fit: TailFit,
-    dest: str | Path,
-    provenance: Mapping[str, object] | None = None,
-) -> None:
-    """Serialize a fitted tail, including its rates and the sub-threshold
-    empirical sample."""
-    if any(getattr(fit, key) is None for key in RATE_KEYS):
-        raise ValueError("fit lacks rate estimates; build it with fit_tail()")
-    items: list[tuple[str, object]] = [("format", FIT_FORMAT), ("toolkit_version", __version__)]
-    items += list((provenance or {}).items())
-    items += [
-        ("fit_id", fit.fit_id),
-        ("threshold_um", fit.params.threshold_um),
+def _float_list(text: str) -> np.ndarray:
+    return np.fromiter(map(float, text.split(",")), float) if text else np.empty(0)
+
+
+# the keys a fit report is refitted from, in the order fit_exceedances takes them
+_FIT_DATA = {
+    "exceedances_um": _float_list,
+    "empirical_below_um": _float_list,
+    "threshold_um": float,
+    "scanned_volume_mm3": float,
+}
+
+
+def _refitted_items(fit: TailFit) -> list[tuple[str, object]]:
+    """The fit report's items that read_fit_report refits from its data."""
+    cov = () if fit.covariance is None else fit.covariance[[0, 0, 1], [0, 1, 1]]
+    return [
         ("estimator", fit.estimator),
         ("sigma_um", fit.params.scale_um),
         ("xi", fit.params.shape),
         ("n_exceed", fit.n_exceed),
         ("covariance_available", fit.covariance is not None),
+        *zip(("cov_sigma_sigma", "cov_sigma_xi", "cov_xi_xi"), cov),
+        *((key, getattr(fit, key)) for key in RATE_KEYS),
+        ("flags", "|".join(fit.flags)),
     ]
-    if fit.covariance is not None:
-        items += [
-            ("cov_sigma_sigma", float(fit.covariance[0, 0])),
-            ("cov_sigma_xi", float(fit.covariance[0, 1])),
-            ("cov_xi_xi", float(fit.covariance[1, 1])),
-        ]
-    items += [(key, getattr(fit, key)) for key in RATE_KEYS]
-    items.append(("flags", "|".join(fit.flags)))
-    emp = fit.empirical_below_um
-    if emp is not None:
-        items.append(("empirical_below_um", ",".join(map(repr, emp.tolist()))))
+
+
+def write_fit_report(
+    fit: TailFit,
+    dest: str | Path,
+    provenance: Mapping[str, object] | None = None,
+) -> None:
+    """Serialize a fitted tail with the data read_fit_report refits it from:
+    the threshold, the scanned volume, the exceedances in the order they
+    were fitted and the sub-threshold sample."""
+    if fit.exceedances_um is None or fit.scanned_volume_mm3 is None:
+        raise ValueError("fit lacks the data it was fitted from; build it with fit_tail()")
+    items = [
+        ("format", FIT_FORMAT),
+        ("toolkit_version", __version__),
+        *(provenance or {}).items(),
+        ("fit_id", fit.fit_id),
+        ("threshold_um", fit.params.threshold_um),
+        *_refitted_items(fit),
+        ("scanned_volume_mm3", fit.scanned_volume_mm3),
+        *((key, ",".join(map(repr, getattr(fit, key).tolist())))
+          for key in ("exceedances_um", "empirical_below_um")),
+    ]
     with open(dest, "w", encoding="utf-8") as handle:
         _write_keyvalues(handle, items)
 
 
-# record fields whose refusal the fit report names by another key
-_REPORT_KEYS = {
-    "scale_um": "sigma_um",
-    "shape": "xi",
-    "covariance": "(cov_sigma_sigma, cov_sigma_xi, cov_xi_xi)",
-}
-
-
-def _float_list(text: str) -> np.ndarray:
-    return np.fromiter(map(float, text.split(",")), float) if text else np.empty(0)
+def _reads_as(text: str, value) -> bool:
+    """Whether a report's text reads as a refitted value: a float within
+    REFIT_RTOL and REFIT_ATOL of it, anything else exactly as written."""
+    if not isinstance(value, float):
+        return text == fmt(value)
+    try:
+        return math.isclose(float(text), value, rel_tol=REFIT_RTOL, abs_tol=REFIT_ATOL)
+    except ValueError:
+        return False
 
 
 def read_fit_report(path: str | Path) -> TailFit:
-    """Rebuild a fitted tail; a missing, unparsable or out-of-domain value is
-    refused naming its key."""
+    """Refit a tail from the data its report carries.
+
+    The exceedances, sub-threshold sample, threshold and scanned volume are
+    fitted as fit_tail fits them, without an exceedance-count floor. Every
+    other number of the report must read as its refitted value, and the
+    refit is returned. Each refusal names its key.
+    """
     values = _read_keyvalues(path)
     if values.get("format") != FIT_FORMAT:
         raise ReportParseError(f"{path}: not a {FIT_FORMAT} report")
-
-    def parsed(key: str, parse: Callable = float):
+    if "exceedances_um" not in values:
+        raise ReportParseError(
+            f"{path}: exceedances_um is missing, as in reports written before poretail 0.4.3: "
+            "run `poretail fit` again to regenerate the report"
+        )
+    data = []
+    for key, parse in _FIT_DATA.items():
+        if key not in values:
+            raise ReportParseError(f"{path}: {key} is missing")
         try:
-            return parse(values[key])
+            data.append(parse(values[key]))
         except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-
+            raise ReportParseError(f"{path}: {key}: {exc}") from None
     try:
-        params = GpdParams(
-            threshold_um=parsed("threshold_um"),
-            scale_um=parsed("sigma_um"),
-            shape=parsed("xi"),
-        )
-        covariance = None
-        if values.get("covariance_available") == "true":
-            css = parsed("cov_sigma_sigma")
-            csx = parsed("cov_sigma_xi")
-            cxx = parsed("cov_xi_xi")
-            covariance = np.array([[css, csx], [csx, cxx]])
-        empirical = None
-        if "empirical_below_um" in values:
-            empirical = parsed("empirical_below_um", _float_list)
-        flags = tuple(f for f in values.get("flags", "").split("|") if f)
-
-        return TailFit(
-            params=params,
-            covariance=covariance,
-            estimator=values.get("estimator", ""),
-            n_exceed=parsed("n_exceed", int),
-            flags=flags,
-            fit_id=values.get("fit_id", ""),
-            **{key: parsed(key) for key in RATE_KEYS},
-            empirical_below_um=empirical,
-        )
-    except KeyError as exc:
+        fit = fit_exceedances(*data, min_tail_count=1, fit_id=values.get("fit_id", ""))
+    except FitError as exc:
+        raise ReportParseError(f"{path}: exceedances_um: {exc}") from exc
+    except ValueError as exc:  # each refusal starts with the key it names
         raise ReportParseError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        # each refusal starts with the record field it names
-        field, _, rest = str(exc).partition(" ")
-        raise ReportParseError(f"{path}: {_REPORT_KEYS.get(field, field)} {rest}") from exc
+    for key, refitted in _refitted_items(fit):
+        if key not in values:
+            raise ReportParseError(f"{path}: {key} is missing")
+        if not _reads_as(values[key], refitted):
+            raise ReportParseError(
+                f"{path}: {key} = {values[key]} is not {fmt(refitted)}, its value refitted "
+                "from the report's data"
+            )
+    return fit
 
 
 def prediction_paths(prefix: str | Path) -> tuple[Path, Path]:

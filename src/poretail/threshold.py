@@ -162,12 +162,17 @@ def stability_scan(
     largest change of the shape estimate and of the modified scale over the
     usable candidates among the next `window` (at least 1), measured in
     that candidate's standard errors; a candidate passes when the score is
-    at most `tolerance`. A candidate with no usable candidate in its window
-    is left unscored and does not pass. Candidates whose fit fails are kept
-    but marked unusable.
+    at most `tolerance` (finite and nonnegative). A candidate with fewer
+    than `min_tail_count` (at least 1) exceedances is excluded, and one with
+    no usable candidate in its window is left unscored and does not pass.
+    Candidates whose fit fails are kept but marked unusable.
     """
     if window < 1:
         raise ValueError(f"stability window = {window} must be at least 1 candidate")
+    if min_tail_count < 1:
+        raise ValueError(f"min_tail_count = {min_tail_count} must be at least 1 exceedance")
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"stability_tolerance = {tolerance} must be finite and nonnegative")
     d = _as_diameters(data)
     scan = ThresholdScan(candidates=[])
     for mu in np.unique(np.asarray(candidates, dtype=float)):

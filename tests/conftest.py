@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from poretail.gpd import GpdParams, TailFit, mle_covariance
+from poretail.extremes import fit_tail
+from poretail.geometry import SpecimenDataset, sphere_surface_area
+from poretail.gpd import GpdParams, TailFit, gpd_quantile, mle_covariance
 
 
 def synthetic_fit(
@@ -33,6 +35,37 @@ def synthetic_fit(
         lambda_below_se=lam_below / float(np.sqrt(max(n_below, 1))),
         empirical_below_um=emp,
     )
+
+
+def make_dataset(diameters, volume=100.0):
+    """A specimen of spheres with these equivalent diameters (um)."""
+    d = np.asarray(diameters, dtype=float)
+    v = np.pi / 6.0 * d**3
+
+    def text(values):
+        return [repr(x) for x in values.tolist()]
+
+    return SpecimenDataset(
+        specimen_id="S", scanned_volume_mm3=volume,
+        cells={
+            "pore_id": [f"p{i}" for i in range(d.size)],
+            "volume_um3": text(v),
+            "surface_area_um2": text(sphere_surface_area(v)),
+            "min_feret_um": text(d),
+            "max_feret_um": text(d),
+        },
+    )
+
+
+def data_fit(threshold=20.0, scale=3.0, shape=0.1, n_exceed=200, n_below=500, volume=100.0,
+             seed=1, fit_id=None):
+    """fit_tail's fit of a specimen whose n_exceed tail pores lie at the
+    plotting-position quantiles (i - 0.5)/n of the GPD above the threshold,
+    and whose n_below other pores are uniform on (0.2, 1) x threshold."""
+    tail = gpd_quantile(GpdParams(threshold, scale, shape), (np.arange(n_exceed) + 0.5) / n_exceed)
+    below = np.random.default_rng(seed).uniform(0.2 * threshold, threshold, n_below)
+    dataset = make_dataset(np.concatenate([tail, below]), volume)
+    return fit_tail(dataset, threshold, fit_id=fit_id)
 
 
 def differing_fields(one, other, skip=()):

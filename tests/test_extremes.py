@@ -17,11 +17,10 @@ from poretail.extremes import (
     sample_largest,
     volume_sweep,
 )
-from poretail.geometry import SpecimenDataset, sphere_surface_area
 from poretail.gpd import FitError, GpdParams, gpd_quantile
 from poretail.synthetic import brute_force_fit_largest
 
-from conftest import differing_fields, synthetic_fit
+from conftest import differing_fields, make_dataset, synthetic_fit
 
 
 class TestClosedForms:
@@ -64,25 +63,6 @@ class TestClosedForms:
     def test_zero_count_is_fallback_not_here(self):
         with pytest.raises(ValueError, match="fallback"):
             largest_cdf_closed(GpdParams(0.0, 1.0, 0.1), 0, 1.0)
-
-
-def make_dataset(diameters, volume=100.0):
-    d = np.asarray(diameters, dtype=float)
-    v = np.pi / 6.0 * d**3
-
-    def text(values):
-        return [repr(x) for x in values.tolist()]
-
-    return SpecimenDataset(
-        specimen_id="S", scanned_volume_mm3=volume,
-        cells={
-            "pore_id": [f"p{i}" for i in range(d.size)],
-            "volume_um3": text(v),
-            "surface_area_um2": text(sphere_surface_area(v)),
-            "min_feret_um": text(d),
-            "max_feret_um": text(d),
-        },
-    )
 
 
 class TestRates:
@@ -646,8 +626,8 @@ def test_volume_of_interest_must_be_finite(basic_fit, volume):
 
 
 def test_mc_config_validation():
-    with pytest.raises(ValueError):
-        McConfig(seed=1, n_count_samples=0)
+    # the sample counts are ignored, so none of them is refused
+    McConfig(n_count_samples=0, n_param_samples=-1, n_p_samples=0)
     with pytest.raises(ValueError):
         McConfig(seed=1, histogram_bins=4)
     with pytest.raises(ValueError):
