@@ -6,7 +6,7 @@ Gauss-Hermite rule) into the distribution of the largest pore in a volume
 of interest, and quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.4.3"
+__version__ = "0.4.4"
 
 from .geometry import (
     IngestError,
@@ -56,7 +56,6 @@ from .equivalence import (
     EquivalenceReport,
     build_report,
     ks_statistic,
-    location_scatter,
     mode_comparison_table,
     p_value,
     plate_center_from_extents,

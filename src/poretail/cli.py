@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -41,6 +41,7 @@ from .reports import (
     ReportParseError,
     config_sha256,
     prediction_paths,
+    provenance_lines,
     read_fit_report,
     read_prediction,
     write_fit_report,
@@ -93,13 +94,15 @@ class Option:
 
 
 def _floats(count: int | None = None) -> Callable[[str], tuple[float, ...]]:
-    """Parser of a comma-separated list of numbers; of exactly `count` if given."""
+    """Parser of a comma-separated list of at least one number; of exactly `count` if given."""
 
     def parse(text: str) -> tuple[float, ...]:
         try:
             values = tuple(float(part) for part in text.split(",") if part.strip() != "")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"could not parse {text!r}: {exc}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
         if count is not None and len(values) != count:
             raise argparse.ArgumentTypeError(
                 f"expected {count} comma-separated numbers, got {text!r}"
@@ -264,13 +267,7 @@ def _ingest(args) -> "SpecimenDataset":
 
 
 def _mc_config(args) -> McConfig:
-    return McConfig(
-        n_count_samples=args.count_samples,
-        n_param_samples=args.param_samples,
-        n_p_samples=args.p_samples,
-        histogram_bins=args.bins,
-        uncertainty_mode=args.mode,
-    )
+    return McConfig(histogram_bins=args.bins, uncertainty_mode=args.mode)
 
 
 def cmd_geom(args) -> int:
@@ -313,12 +310,14 @@ def cmd_fit(args) -> int:
     provenance = {**_stamp(args, input=str(args.input)), "threshold_mode": args.threshold_mode}
     fit_path = out_dir / f"{tag}_fit.txt"
     write_fit_report(fit, fit_path, provenance={"config_sha256": provenance["config_sha256"]})
-    write_table(out_dir / f"{tag}_scan.csv", SCAN_COLUMNS, scan.table_rows(), provenance)
     write_table(
-        out_dir / f"{tag}_qq.csv",
-        ("theoretical_um", "sample_um"),
-        qq_points(fit, fit.exceedances_um).tolist(),
+        out_dir / f"{tag}_scan.csv",
+        {name: [getattr(c, name) for c in scan.candidates] for name in SCAN_COLUMNS},
         provenance,
+    )
+    theoretical, sample = qq_points(fit, fit.exceedances_um).T.tolist()
+    write_table(
+        out_dir / f"{tag}_qq.csv", {"theoretical_um": theoretical, "sample_um": sample}, provenance
     )
     se_sigma, se_xi = ("n/a", "n/a") if fit.covariance is None else (
         f"{se:.6g}" for se in np.sqrt(np.diag(fit.covariance))
@@ -364,7 +363,7 @@ def cmd_compare(args) -> int:
     ):
         print("compare: position(s) missing; distances omitted", file=sys.stderr)
 
-    rows = []
+    reports = []
     for observed in args.observed:
         report = build_report(
             dist,
@@ -374,25 +373,23 @@ def cmd_compare(args) -> int:
             part_position_mm=part_pos,
             plate_center_mm=center,
         )
-        rows.append(astuple(report))
+        reports.append(report)
         print(
             f"compare: observed={observed:g}um q={report.q_value:.6g} "
             f"p={report.p_value:.6g}"
         )
-    write_table(args.output, [f.name for f in fields(EquivalenceReport)], rows)
+    names = [f.name for f in fields(EquivalenceReport)]
+    write_table(args.output, {name: [getattr(r, name) for r in reports] for name in names})
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     fit = read_fit_report(_input_path(args.fit))
     dists = volume_sweep(fit, args.volumes, _mc_config(args))
+    summary = ("mean_um", "p2_5_um", "p50_um", "p97_5_um", "no_pore_mass")
     write_table(
         args.output,
-        ("volume_mm3", "mean_um", "p2_5_um", "p50_um", "p97_5_um", "no_pore_mass"),
-        [
-            (v, d.mean_um, d.p2_5_um, d.p50_um, d.p97_5_um, d.no_pore_mass)
-            for v, d in zip(args.volumes, dists)
-        ],
+        {"volume_mm3": args.volumes, **{k: [getattr(d, k) for d in dists] for k in summary}},
         provenance=_stamp(args, fit=str(args.fit)),
     )
     print(f"sweep: {len(dists)} volume(s) -> {args.output}")
@@ -414,8 +411,8 @@ def cmd_simulate(args) -> int:
         truth, args.seed, specimen_id=args.specimen_id or f"synthetic-{args.seed}"
     )
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        for key, value in {"seed": args.seed, **_stamp(args)}.items():
-            handle.write(f"# {key}={value}\n")
+        provenance = {"seed": args.seed, **_stamp(args)}
+        handle.writelines(line + "\n" for line in provenance_lines(provenance))
         dump_specimen(dataset, handle)
     print(
         f"simulate: {len(dataset)} pore(s) in {truth.specimen_volume_mm3:g}mm3 "

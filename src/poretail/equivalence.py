@@ -5,8 +5,6 @@ probability of drawing a largest pore at least as far from the
 distribution's mean as the observation (two-sided, computed on the
 histogram masses). The KS statistic here is the sup metric between two
 CDFs on the merged grid of their knots, with step semantics at atoms.
-Build-plate location effects are summarized as distance-versus-similarity
-scatter rows.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -169,49 +167,6 @@ def plate_distances(
     cartesian = math.hypot(bx - ax, by - ay)
     radial = abs(math.hypot(bx - cx, by - cy) - math.hypot(ax - cx, ay - cy))
     return cartesian, radial
-
-
-SCATTER_COLUMNS = (
-    "pair_id",
-    "cartesian_distance_mm",
-    "radial_distance_mm",
-    "p_value",
-    "q_value",
-)
-
-
-def location_scatter(
-    reports: Sequence[EquivalenceReport],
-    positions_mm: Mapping[str, tuple[float, float]],
-    plate_center_mm: tuple[float, float] = (0.0, 0.0),
-) -> list[tuple]:
-    """Distance-versus-similarity rows for build-plate location analysis.
-
-    Looks up coupon and part positions by id; pairs with a missing position
-    are skipped with a warning. Rows match SCATTER_COLUMNS.
-    """
-    rows = []
-    for report in reports:
-        coupon = positions_mm.get(report.coupon_fit_id)
-        part = positions_mm.get(report.part_specimen_id)
-        if coupon is None or part is None:
-            warnings.warn(
-                f"missing plate position for pair "
-                f"{report.coupon_fit_id}:{report.part_specimen_id}; row skipped",
-                stacklevel=2,
-            )
-            continue
-        cartesian, radial = plate_distances(coupon, part, plate_center_mm)
-        rows.append(
-            (
-                f"{report.coupon_fit_id}:{report.part_specimen_id}",
-                cartesian,
-                radial,
-                report.p_value,
-                report.q_value,
-            )
-        )
-    return rows
 
 
 KS_MATRIX_COLUMNS = ("volume_mm3", "ks_poisson_vs_none", "ks_all_vs_none")

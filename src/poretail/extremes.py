@@ -238,20 +238,6 @@ class LargestPoreDistribution:
         for name, value in zip(("p2_5_um", "p50_um", "p97_5_um"), self.quantile(_PERCENTILES)):
             object.__setattr__(self, name, float(value))
 
-    @classmethod
-    def from_masses(
-        cls, bin_edges_um, pdf_mass, *, no_pore_mass: float = 0.0, **kwargs
-    ) -> "LargestPoreDistribution":
-        """Build a distribution from the no-pore mass and the bin masses; the
-        mass they leave lies beyond the top edge, none if they sum to 1
-        within rounding (1e-12)."""
-        pdf = np.asarray(pdf_mass, dtype=float)
-        cdf = np.concatenate([[no_pore_mass], no_pore_mass + np.cumsum(pdf)])
-        if abs(cdf[-1] - 1.0) <= 1e-12:
-            cdf = np.minimum(cdf, 1.0)
-            cdf[-1] = 1.0
-        return cls(bin_edges_um, cdf, **kwargs)
-
     @property
     def midpoints_um(self) -> np.ndarray:
         return 0.5 * (self.bin_edges_um[:-1] + self.bin_edges_um[1:])

@@ -18,7 +18,7 @@ from itertools import dropwhile, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -246,38 +246,47 @@ def _is_preamble(line: str) -> bool:
     return not line.strip() or line.lstrip().startswith("#")
 
 
-def _measured_index(header: list[str] | None) -> dict[str, int]:
-    """Header position of each measured column that the header names."""
+def _measured_index(
+    header: list[str] | None, required: Sequence[str], optional: Sequence[str]
+) -> dict[str, int]:
+    """Header position of each measured column that the header names: the
+    required columns, and the optional ones when it names them all."""
     if header is None:
         raise IngestError("empty file: no header row, no rows")
-    repeated = [c for c in REQUIRED_COLUMNS + CENTROID_COLUMNS if header.count(c) > 1]
+    measured = (*required, *optional)
+    repeated = [c for c in measured if header.count(c) > 1]
     if repeated:
         raise IngestError(f"header: column {repeated[0]} appears more than once")
-    measured = REQUIRED_COLUMNS
-    if all(c in header for c in CENTROID_COLUMNS):
-        measured += CENTROID_COLUMNS
+    if not all(c in header for c in optional):
+        measured = required
     return {c: header.index(c) for c in measured if c in header}
 
 
-def _row_columns(rows: list[list[str]], index: Mapping[str, int]) -> dict[str, list[str]]:
-    """Measured columns of rows of any width; refuses the first row short of a required cell."""
+def _row_columns(
+    rows: list[list[str]], index: Mapping[str, int], required: Sequence[str]
+) -> dict[str, list[str]]:
+    """Measured columns of rows of any width; refuses the first row short of a required cell.
+
+    A row cut short inside the optional columns has none of them: its
+    optional cells are blank.
+    """
     widths = np.fromiter(map(len, rows), int, len(rows))
-    required = [index[c] for c in REQUIRED_COLUMNS if c in index]
-    short = np.flatnonzero(widths <= max(required, default=-1))
+    short = np.flatnonzero(widths <= max((index[c] for c in required if c in index), default=-1))
     if short.size:
         raise IngestError(f"row {short[0] + 2}: missing cells")
-    centroid = [index[c] for c in CENTROID_COLUMNS if c in index]
-    last = max(centroid, default=-1)
+    optional = [i for c, i in index.items() if c not in required]
+    last = max(optional, default=-1)
     for row in np.flatnonzero(widths <= last).tolist():
-        # A row cut short inside the centroid columns has no centroid at all.
         padded = rows[row] + [""] * (last + 1 - len(rows[row]))
-        for i in centroid:
+        for i in optional:
             padded[i] = ""
         rows[row] = padded
     return {c: list(map(itemgetter(i), rows)) for c, i in index.items()}
 
 
-def _csv_columns(text: str) -> dict[str, list[str]]:
+def _csv_columns(
+    text: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> dict[str, list[str]]:
     """Measured columns of a table with quoted cells, read with csv.reader."""
     reader = csv.reader(dropwhile(_is_preamble, io.StringIO(text, newline="")))
     rows: list[list[str]] = []
@@ -286,24 +295,28 @@ def _csv_columns(text: str) -> dict[str, list[str]]:
         rows.extend(filter(None, reader))
     except csv.Error as exc:
         raise IngestError(f"row {len(rows) + 1}: {exc}") from None
-    return _row_columns(rows[1:], _measured_index(rows[0] if rows else None))
+    index = _measured_index(rows[0] if rows else None, required, optional)
+    return _row_columns(rows[1:], index, required)
 
 
-def _table_columns(pore_table: IO[str]) -> dict[str, list[str]]:
-    """Measured columns' cell text, read in one piece and split in bulk.
+def _table_columns(
+    table: IO[str], required: Sequence[str], optional: Sequence[str] = ()
+) -> dict[str, list[str]]:
+    """Cell text of the measured columns of a comma-separated table (see
+    _measured_index), read in one piece and split in bulk.
 
     Without a double quote in the text, csv quoting cannot apply and every
     comma separates cells; rows of the header's width are then joined and
     split once, and each column is a stride slice of the cells.
     """
     try:
-        text = pore_table.read()
+        text = table.read()
     except UnicodeDecodeError as exc:
         raise IngestError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
     # Drop the byte-order mark that "CSV UTF-8" exports start with.
     text = text.removeprefix("\ufeff")
     if '"' in text:
-        return _csv_columns(text)
+        return _csv_columns(text, required, optional)
     # csv breaks lines at "\r\n", "\r" and "\n", and at nothing else.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -311,11 +324,11 @@ def _table_columns(pore_table: IO[str]) -> dict[str, list[str]]:
     del text
     start = next((i for i, line in enumerate(lines) if not _is_preamble(line)), None)
     header = None if start is None else lines[start].split(",")
-    index = _measured_index(header)
+    index = _measured_index(header, required, optional)
     lines = [line for line in lines[start + 1:] if line]
     width = len(header)
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
-        return _row_columns([line.split(",") for line in lines], index)
+        return _row_columns([line.split(",") for line in lines], index, required)
     flat = ",".join(lines)
     del lines
     flat = flat.split(",")
@@ -353,7 +366,7 @@ def ingest_specimen(
     return SpecimenDataset(
         specimen_id=specimen_id,
         scanned_volume_mm3=scanned_volume_mm3,
-        cells=_table_columns(pore_table),
+        cells=_table_columns(pore_table, REQUIRED_COLUMNS, CENTROID_COLUMNS),
     )
 
 
@@ -373,6 +386,12 @@ def _quoted(cells: list[str]) -> list[str]:
     return list(map(_quote_cell, cells))
 
 
+def _write_columns(dest: IO[str], columns: Mapping[str, Iterable[str]]) -> None:
+    """The header, then one line per row of the columns' cell text."""
+    dest.write(",".join(columns) + "\n")
+    dest.writelines(map("{}\n".format, map(",".join, zip(*columns.values(), strict=True))))
+
+
 def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
     """Write the canonical dataset dump: measured columns plus derived columns.
 
@@ -387,7 +406,7 @@ def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
             return
 
     derived = (dataset.diameters_um, dataset.aspect_ratios, dataset.sphericities)
-    columns = [_quoted(c.tolist()) for c in dataset.cells.values()]
-    columns += [map(repr, d.tolist()) for d in derived]
-    dest.write(",".join([*dataset.cells, *DERIVED_COLUMNS]) + "\n")
-    dest.writelines(map("{}\n".format, map(",".join, zip(*columns))))
+    _write_columns(dest, {
+        **{c: _quoted(cells.tolist()) for c, cells in dataset.cells.items()},
+        **{c: map(repr, d.tolist()) for c, d in zip(DERIVED_COLUMNS, derived)},
+    })

@@ -12,17 +12,18 @@ from __future__ import annotations
 import hashlib
 import math
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
 from . import __version__
 from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution, fit_exceedances
-from .geometry import _quote_cell
+from .geometry import IngestError, _parse, _quoted, _table_columns, _write_columns
 from .gpd import RATE_KEYS, REFIT_ATOL, REFIT_RTOL, FitError, TailFit
 
 FIT_FORMAT = "poretail-fit/1"
 PREDICTION_FORMAT = "poretail-prediction/1"
+_CDF_COLUMNS = ("edge_um", "cdf")
 
 
 class ReportParseError(ValueError):
@@ -30,10 +31,11 @@ class ReportParseError(ValueError):
 
 
 def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+    # floats, the bulk of every table, are tested first
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     return str(value)
 
 
@@ -49,43 +51,44 @@ def provenance_lines(provenance: Mapping[str, object] | None) -> list[str]:
     return [f"# {key}={fmt(value)}" for key, value in provenance.items()]
 
 
-def _table_cell(value) -> str:
-    """fmt for a table cell, floats (the bulk of every table) tested first.
-
-    Text is quoted where csv needs it; numbers never need it and are not scanned.
-    """
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, str):
-        return _quote_cell(value)
-    return "" if value is None else fmt(value)
+def _cells(values: Iterable) -> list[str]:
+    """Cell text of a table column: fmt of each value, None empty, and
+    quoted where csv needs it (numbers never do)."""
+    return _quoted(["" if value is None else fmt(value) for value in values])
 
 
 def write_table(
     dest: str | Path | IO[str],
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
+    columns: Mapping[str, Iterable],
     provenance: Mapping[str, object] | None = None,
 ) -> None:
-    """Comma-separated table with header row and optional provenance comments.
+    """Comma-separated table of `columns` (name -> values), with a header
+    row and optional provenance comments.
 
     Text cells holding a comma, a quote or a line break are written in
     csv's minimal quoting, as in the specimen dump.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
-            write_table(handle, columns, rows, provenance)
+            write_table(handle, columns, provenance)
             return
-    for line in provenance_lines(provenance):
-        dest.write(line + "\n")
-    dest.write(",".join(columns) + "\n")
-    for row in rows:
-        dest.write(",".join(map(_table_cell, row)) + "\n")
+    dest.writelines(line + "\n" for line in provenance_lines(provenance))
+    _write_columns(dest, {name: _cells(values) for name, values in columns.items()})
 
 
-def _write_keyvalues(handle: IO[str], items: Iterable[tuple[str, object]]) -> None:
+def _keyvalue_text(items: Iterable[tuple[str, object]]) -> str:
+    """Lines "key = value"; refuses, by key, a value that would not read back
+    as written: one holding a line break or starting or ending with whitespace."""
+    lines = []
     for key, value in items:
-        handle.write(f"{key} = {fmt(value)}\n")
+        text = fmt(value)
+        if "\n" in text or "\r" in text or text != text.strip():
+            raise ValueError(
+                f"{key} = {text!r}: a report value may not hold a line break "
+                "or start or end with whitespace"
+            )
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 def _read_keyvalues(path: str | Path) -> dict[str, str]:
@@ -151,8 +154,9 @@ def write_fit_report(
         *((key, ",".join(map(repr, getattr(fit, key).tolist())))
           for key in ("exceedances_um", "empirical_below_um")),
     ]
+    text = _keyvalue_text(items)
     with open(dest, "w", encoding="utf-8") as handle:
-        _write_keyvalues(handle, items)
+        handle.write(text)
 
 
 def _reads_as(text: str, value) -> bool:
@@ -228,43 +232,37 @@ def write_prediction(
     """
     cdf_path, summary_path = prediction_paths(prefix)
     stamp = dict(provenance or {})
-    write_table(
-        cdf_path,
-        ("edge_um", "cdf"),
-        zip(dist.bin_edges_um, dist.cdf_at_edges),
-        provenance=stamp,
-    )
-    items = {
+    summary = _keyvalue_text({
         "format": PREDICTION_FORMAT,
         "toolkit_version": __version__,
         **stamp,
         **dist.provenance,
         **dist.summary(),
         "dist_flags": "|".join(dist.flags),
-    }
+    }.items())
+    write_table(
+        cdf_path,
+        dict(zip(_CDF_COLUMNS, (dist.bin_edges_um, dist.cdf_at_edges))),
+        provenance=stamp,
+    )
     with open(summary_path, "w", encoding="utf-8") as handle:
-        _write_keyvalues(handle, items.items())
+        handle.write(summary)
     return cdf_path, summary_path
 
 
 def _read_cdf_table(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Edges and CDF values of a prediction's CDF table; its header is row 1."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in map(str.strip, handle) if line and not line.startswith("#")]
-    if lines and lines[0].split(",")[:2] != ["edge_um", "cdf"]:
-        raise ReportParseError(f"{path}: unexpected columns {lines[0].split(',')}")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        try:
-            rows.append((float(cells[0]), float(cells[1])))
-        except (IndexError, ValueError):
-            raise ReportParseError(
-                f"{path}: row {number}: expected 'edge_um,cdf', got {line!r}"
-            ) from None
-    if len(rows) < 2:
+    """Edges and CDF values of a prediction's CDF table."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            columns = _table_columns(handle, _CDF_COLUMNS)
+        missing = [c for c in _CDF_COLUMNS if c not in columns]
+        if missing:
+            raise IngestError(f"missing column(s): {', '.join(missing)}")
+        edges, cdf = (_parse(c, columns[c]) for c in _CDF_COLUMNS)
+    except IngestError as exc:
+        raise ReportParseError(f"{path}: {exc}") from None
+    if edges.size < 2:
         raise ReportParseError(f"{path}: no CDF rows")
-    edges, cdf = map(np.array, zip(*rows))
     return edges, cdf
 
 

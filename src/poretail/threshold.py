@@ -90,22 +90,6 @@ class ThresholdScan:
 
     candidates: list[CandidateDiagnostics]
 
-    def table_rows(self) -> list[tuple]:
-        """Rows matching SCAN_COLUMNS, for comma-separated export."""
-        return [
-            (
-                c.threshold_um,
-                c.n_exceed,
-                c.mean_excess_um,
-                c.sigma_hat_um,
-                c.xi_hat,
-                c.sigma_star_um,
-                c.stability_score,
-                c.passes,
-            )
-            for c in self.candidates
-        ]
-
 
 def _as_diameters(data) -> np.ndarray:
     if isinstance(data, SpecimenDataset):

@@ -328,6 +328,36 @@ class TestFit:
                 "nonnegative" in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("specimen_id", ["S\nX", " S "], ids=["line-break", "padded"])
+    def test_id_a_report_cannot_hold_is_usage_error(self, workspace, tmp_path, capsys,
+                                                    specimen_id):
+        # the fit id used to be written as given, and read back split over two
+        # lines (which predict refused) or stripped (so that it was not the fit's)
+        code = main(["fit", "--input", str(workspace / "pores.csv"),
+                     "--specimen-id", specimen_id, "--scanned-volume", "200",
+                     "--threshold-mode", "manual", "--threshold", "20", "--candidates", "20",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert (f"usage error: fit_id = {specimen_id + '@20um'!r}: a report value may not "
+                "hold a line break or start or end with whitespace" in capsys.readouterr().err)
+        assert not list((tmp_path / "o").glob("*_fit.txt"))
+
+    @pytest.mark.parametrize("flags, config, code", [
+        (["--candidates", ""], "", 1),
+        (["--candidates", " , "], "", 1),
+        ([], "[threshold]\ncandidates =\n", 2),
+    ], ids=["flag", "flag-commas", "config"])
+    def test_empty_candidate_list_is_refused(self, workspace, tmp_path, capsys,
+                                             flags, config, code):
+        # it used to scan the default grid under another config hash
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(config)
+        assert main(["fit", "--config", str(cfg), "--input", str(workspace / "pores.csv"),
+                     "--specimen-id", "S", "--scanned-volume", "200", *flags,
+                     "--out-dir", str(tmp_path / "o")]) == code
+        assert "expected comma-separated numbers, got" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_candidates_are_scanned_once(self, workspace, tmp_path, capsys):
         # 5 um used to be compared with itself, pass and be selected; alone,
         # it has nothing to be compared with
@@ -671,8 +701,11 @@ class TestCompare:
         assert code == 2
         assert f"data error: {summary}: {key} = 1000000000.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["12.5", "abc,0.5"])
-    def test_malformed_cdf_row_is_data_error(self, workspace, tmp_path, capsys, row):
+    @pytest.mark.parametrize("row, fault", [
+        ("12.5", "row 3: missing cells"),
+        ("abc,0.5", "row 3, column edge_um: could not parse 'abc'"),
+    ], ids=["12.5", "abc,0.5"])
+    def test_malformed_cdf_row_is_data_error(self, workspace, tmp_path, capsys, row, fault):
         prefix = self.copied_prediction(workspace, tmp_path)
         table = tmp_path / "pred_cdf.csv"
         lines = table.read_text().splitlines(keepends=True)
@@ -682,7 +715,7 @@ class TestCompare:
         code = main(["compare", "--prediction", str(prefix), "--observed", "41.3",
                      "--output", str(tmp_path / "eq.csv")])
         assert code == 2
-        assert f"data error: {table}: row 3: expected 'edge_um,cdf', got {row!r}" in capsys.readouterr().err
+        assert f"data error: {table}: {fault}" in capsys.readouterr().err
 
     def test_missing_prediction_is_usage_error(self, tmp_path, capsys):
         code = main(["compare", "--prediction", str(tmp_path / "nope"), "--observed", "41.3",

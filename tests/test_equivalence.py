@@ -5,11 +5,9 @@ from scipy.stats import kstest
 
 from poretail.equivalence import (
     EmpiricalCdf,
-    EquivalenceReport,
     FunctionCdf,
     build_report,
     ks_statistic,
-    location_scatter,
     mode_comparison_table,
     p_value,
     plate_center_from_extents,
@@ -20,9 +18,9 @@ from poretail.extremes import LargestPoreDistribution, McConfig
 
 
 def uniform_dist(lo=0.0, hi=1.0, bins=400, **kwargs):
-    edges = np.linspace(lo, hi, bins + 1)
-    pdf = np.full(bins, 1.0 / bins)
-    return LargestPoreDistribution.from_masses(edges, pdf, **kwargs)
+    return LargestPoreDistribution(
+        np.linspace(lo, hi, bins + 1), np.linspace(0.0, 1.0, bins + 1), **kwargs
+    )
 
 
 class TestQValue:
@@ -49,9 +47,8 @@ class TestQValue:
         assert value == pytest.approx(0.99)
 
     def test_no_pore_atom_included(self):
-        edges = np.linspace(1.0, 2.0, 17)
-        pdf = np.full(16, 0.75 / 16)
-        dist = LargestPoreDistribution.from_masses(edges, pdf, no_pore_mass=0.25)
+        # a no-pore mass of 0.25, the rest spread evenly over 16 bins
+        dist = LargestPoreDistribution(np.linspace(1.0, 2.0, 17), np.linspace(0.25, 1.0, 17))
         assert q_value(dist, 0.0) == pytest.approx(0.25)
         assert q_value(dist, 0.5) == pytest.approx(0.25)
 
@@ -82,8 +79,7 @@ class TestPValue:
     def test_symmetric_two_atom_hand_case(self):
         # masses 1/2 at 1 and 3; both atoms sit exactly one unit from the mean
         edges = np.array([0.5, 1.5, 2.5, 3.5])
-        pdf = np.array([0.5, 0.0, 0.5])
-        dist = LargestPoreDistribution.from_masses(edges, pdf)
+        dist = LargestPoreDistribution(edges, np.array([0.0, 0.5, 0.5, 1.0]))
         assert dist.mean_um == pytest.approx(2.0)
         assert p_value(dist, 3.0) == pytest.approx(1.0)
         assert p_value(dist, 1.0) == pytest.approx(1.0)
@@ -91,7 +87,7 @@ class TestPValue:
 
     def test_degenerate_point_mass(self):
         edges = np.array([4.0, 6.0])
-        dist = LargestPoreDistribution.from_masses(edges, [1.0])
+        dist = LargestPoreDistribution(edges, np.array([0.0, 1.0]))
         atom = dist.mean_um
         assert p_value(dist, atom) == 1.0
         assert p_value(dist, atom + 3.0) == pytest.approx(0.0, abs=1e-12)
@@ -148,12 +144,6 @@ class TestKsStatistic:
 
 
 class TestLocationScatter:
-    def make_report(self, coupon="C", part="P"):
-        return EquivalenceReport(
-            coupon_fit_id=coupon, part_specimen_id=part, observed_um=30.0,
-            q_value=0.7, p_value=0.4, volume_mm3=200.0,
-        )
-
     def test_three_four_five(self):
         cartesian, radial = plate_distances((0.0, 0.0), (3.0, 4.0), (0.0, 0.0))
         assert cartesian == pytest.approx(5.0)
@@ -167,17 +157,6 @@ class TestLocationScatter:
         cartesian, radial = plate_distances((5.0, 0.0), (0.0, 5.0), (0.0, 0.0))
         assert radial == pytest.approx(0.0, abs=1e-12)
         assert cartesian > 0.0
-
-    def test_rows_and_missing_positions(self):
-        reports = [self.make_report(), self.make_report(part="missing")]
-        positions = {"C": (0.0, 0.0), "P": (3.0, 4.0)}
-        with pytest.warns(UserWarning, match="missing plate position"):
-            rows = location_scatter(reports, positions)
-        assert len(rows) == 1
-        pair_id, cartesian, radial, p, q = rows[0]
-        assert pair_id == "C:P"
-        assert cartesian == pytest.approx(5.0)
-        assert (p, q) == (0.4, 0.7)
 
     def test_plate_center_from_extents(self):
         assert plate_center_from_extents(0.0, 0.0, 250.0, 250.0) == (125.0, 125.0)
@@ -219,7 +198,7 @@ def test_ks_matrix_export_columns(tmp_path, basic_fit):
 
     rows = [(25.0, 0.05, 0.2), (100.0, 0.02, 0.3)]
     out = io.StringIO()
-    write_table(out, KS_MATRIX_COLUMNS, rows)
+    write_table(out, dict(zip(KS_MATRIX_COLUMNS, zip(*rows))))
     lines = out.getvalue().splitlines()
     assert lines[0] == "volume_mm3,ks_poisson_vs_none,ks_all_vs_none"
     assert len(lines) == 3

@@ -496,12 +496,6 @@ class TestDistributionObject:
 
         assert ks_statistic(dist, EmpiricalCdf(draws)) < 0.015
 
-    def test_from_masses_validates(self):
-        with pytest.raises(ValueError, match="must"):
-            LargestPoreDistribution.from_masses(
-                [0.0, 1.0, 2.0], [0.5, 0.4], no_pore_mass=0.5
-            )
-
     def test_summaries_derive_from_the_cdf(self):
         edges, cdf = np.array([1.0, 2.0, 4.0]), np.array([0.25, 0.5, 0.75])
         dist = LargestPoreDistribution(edges, cdf)
@@ -547,8 +541,8 @@ class TestDistributionObject:
             dist.quantile(np.array([0.5, 1.5]))
 
     def test_masses_summing_to_one_leave_no_overflow(self):
-        for masses in ([0.1] * 10, [1.0 / 400] * 400, [0.7, 0.2, 0.1]):
-            dist = LargestPoreDistribution.from_masses(np.arange(len(masses) + 1.0), masses)
+        for cdf in (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 401), [0.0, 0.7, 0.9, 1.0]):
+            dist = LargestPoreDistribution(np.arange(len(cdf) + 0.0), cdf)
             assert dist.overflow_mass == 0.0
             assert dist.cdf_at_edges[-1] == 1.0
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poretail.geometry import (
     CENTROID_COLUMNS,
@@ -21,6 +21,8 @@ from poretail.geometry import (
     sphere_surface_area,
     sphericity,
 )
+from poretail.geometry import _csv_columns, _table_columns
+from poretail.reports import write_table
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
 
@@ -642,3 +644,46 @@ def test_undecodable_bytes_name_offset(tmp_path):
     offset = 3 + WELL_FORMED.index("p2") + 1
     with pytest.raises(IngestError, match=rf"^byte {offset}: not UTF-8 text"):
         ingest_specimen(table, specimen_id="S", scanned_volume_mm3=1.0)
+
+
+# cells of the comma-separated tables: text that csv must quote or not
+# (no NUL, which csv.reader refuses before Python 3.11), and anything else
+CSV_SPECIALS = st.sampled_from([",", '"', "\r", "\n"])
+TABLE_OTHERS = st.one_of(st.floats(), st.integers(), st.booleans(), st.none())
+
+
+@st.composite
+def table_columns(draw):
+    """Columns c0, c1, ... of text or of other cells, a few rows each."""
+    plain = st.characters(min_codepoint=1, exclude_characters=',"\r\n')
+    alphabet = plain if draw(st.booleans()) else st.one_of(plain, CSV_SPECIALS)
+    n = draw(st.integers(0, 5))
+    cells = st.lists(st.one_of(st.text(alphabet, max_size=6), TABLE_OTHERS), min_size=n, max_size=n)
+    text = st.lists(st.text(alphabet, max_size=6), min_size=n, max_size=n)
+    columns = draw(st.lists(st.one_of(text, cells), min_size=2, max_size=4))
+    return {f"c{i}": values for i, values in enumerate(columns)}
+
+
+def _cell_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(columns=table_columns())
+@example(columns={"c0": ["a,b", 'q"', "r\rs", "t\nu"], "c1": [math.nan, math.inf, -math.inf, -0.0]})
+@example(columns={"c0": [1, True, False, None], "c1": ["", "x", "", "y"]})
+def test_table_writer_matches_csv_reader(columns):
+    out = io.StringIO()
+    write_table(out, columns, provenance={"seed": 1})
+    text = out.getvalue()
+    rows = list(csv.reader(itertools.dropwhile(_preamble, io.StringIO(text, newline=""))))
+    assert rows[0] == list(columns)
+    expected = {name: list(map(_cell_text, values)) for name, values in columns.items()}
+    assert {name: [row[i] for row in rows[1:]] for i, name in enumerate(columns)} == expected
+    # the bulk path where the text holds no quote, and csv.reader's path
+    assert _table_columns(io.StringIO(text, newline=""), list(columns)) == expected
+    assert _csv_columns(text, list(columns)) == expected

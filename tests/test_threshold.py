@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.stats import genpareto
 
 from poretail.gpd import GpdParams, TailFit, mle_covariance
 from poretail.threshold import (
+    SCAN_COLUMNS,
     CandidateDiagnostics,
     ThresholdScan,
     ThresholdSelectionError,
@@ -158,7 +160,7 @@ class TestStabilityScan:
     def test_repeated_candidates_scanned_once(self):
         x = gpd_sample(0.1, 3000, 13)
         grid = np.quantile(x, [0.3, 0.5, 0.7])
-        rows = lambda scan: [tuple(map(repr, row)) for row in scan.table_rows()]
+        rows = lambda scan: [repr(astuple(c)) for c in scan.candidates]
         assert rows(stability_scan(x, np.repeat(grid, 3)[::-1])) == rows(stability_scan(x, grid))
 
     @pytest.mark.parametrize("window", [0, -1])
@@ -211,9 +213,7 @@ def test_default_grid_spans_50_to_99_percent():
     assert np.all(np.diff(grid) > 0)
 
 
-def test_scan_table_rows_match_columns():
-    x = gpd_sample(0.1, 2000, 17)
-    scan = stability_scan(x, np.quantile(x, [0.3, 0.5, 0.7]))
-    rows = scan.table_rows()
-    assert len(rows) == len(scan.candidates)
-    assert len(rows[0]) == 8
+def test_scan_columns_are_candidate_fields():
+    # the scan table's columns are read off each candidate by name
+    assert len(SCAN_COLUMNS) == 8
+    assert set(SCAN_COLUMNS) <= {f.name for f in fields(CandidateDiagnostics)}
