@@ -6,7 +6,7 @@ Gauss-Hermite rule) into the distribution of the largest pore in a volume
 of interest, and quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.4.4"
+__version__ = "0.4.5"
 
 from .geometry import (
     IngestError,
@@ -39,7 +39,6 @@ from .threshold import (
     modified_scale,
     select_threshold,
     stability_scan,
-    theoretical_mean_excess,
 )
 from .extremes import (
     CovarianceUnavailableError,

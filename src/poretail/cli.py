@@ -301,7 +301,7 @@ def cmd_fit(args) -> int:
         tolerance=args.stability_tolerance,
         window=args.stability_window,
     )
-    threshold = select_threshold(scan, mode=args.threshold_mode, manual_value=args.threshold)
+    threshold = args.threshold if args.threshold_mode == "manual" else select_threshold(scan)
     fit = fit_tail(dataset, threshold, min_tail_count=args.min_tail_count)
 
     out_dir = Path(args.out_dir)

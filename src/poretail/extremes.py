@@ -122,11 +122,14 @@ def fit_tail(
     min_tail_count: int = MIN_TAIL_COUNT,
     fit_id: str | None = None,
 ) -> TailFit:
-    """Fit the tail of a specimen at a threshold with fit_exceedances."""
+    """Fit the tail of a specimen at a threshold with fit_exceedances. The
+    diameters are largest first, so the exceedances are a prefix and the
+    rest, reversed, is the sorted sub-threshold sample."""
     d = dataset.diameters_um
+    k = d.size - np.searchsorted(d[::-1], threshold_um, side="right")
     return fit_exceedances(
-        d[d > threshold_um],
-        np.sort(d[d <= threshold_um]),
+        d[:k],
+        d[k:][::-1],
         threshold_um,
         dataset.scanned_volume_mm3,
         min_tail_count=min_tail_count,

@@ -37,8 +37,10 @@ class BulkModel:
     log_sigma: float
 
     def __post_init__(self) -> None:
-        if not self.log_sigma > 0:
-            raise ValueError("log_sigma must be positive")
+        if not np.isfinite(self.log_mean):
+            raise ValueError(f"log_mean = {self.log_mean} is not finite")
+        if not 0.0 < self.log_sigma < np.inf:
+            raise ValueError(f"log_sigma = {self.log_sigma} is not finite and positive")
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,13 @@ class GroundTruth:
     bulk: BulkModel
 
     def __post_init__(self) -> None:
-        if self.lambda_above_per_mm3 < 0 or self.lambda_below_per_mm3 < 0:
-            raise ValueError("rates must be nonnegative")
-        if not self.specimen_volume_mm3 > 0:
-            raise ValueError("specimen volume must be positive")
+        for name in ("lambda_above_per_mm3", "lambda_below_per_mm3"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite and nonnegative")
+        if not 0.0 < self.specimen_volume_mm3 < np.inf:
+            raise ValueError(
+                f"specimen_volume_mm3 = {self.specimen_volume_mm3} is not finite and positive"
+            )
         if not self.tail.threshold_um > 0:
             raise ValueError("tail threshold must be positive for physical sizes")
 

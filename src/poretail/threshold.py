@@ -5,7 +5,8 @@ threshold with slope shape/(1-shape); the modified scale
 (scale - shape * threshold) is constant across valid thresholds. Both are
 scanned over a candidate grid, and the automated policy picks the smallest
 candidate whose forward-window parameter changes stay inside a tolerance
-measured in standard errors. Manual override is first-class.
+measured in standard errors. A manual threshold skips the policy and is
+fitted as given.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SpecimenDataset
-from .gpd import MIN_TAIL_COUNT, FitError, GpdParams, TailFit, select_estimator
+from .gpd import MIN_TAIL_COUNT, FitError, TailFit, select_estimator
 
 DEFAULT_STABILITY_TOLERANCE = 0.5
 DEFAULT_STABILITY_WINDOW = 3
@@ -34,22 +35,6 @@ SCAN_COLUMNS = (
 
 class ThresholdSelectionError(RuntimeError):
     """No candidate threshold satisfied the stability policy."""
-
-
-def theoretical_mean_excess(params: GpdParams, threshold_um: float) -> float:
-    """Mean excess of an exact tail evaluated at a higher threshold.
-
-    Only defined for shape <= 1 (the tail mean is infinite otherwise);
-    evaluation above that is refused.
-    """
-    if params.shape > 1.0:
-        raise ValueError(
-            f"mean excess is only defined for shape <= 1, got {params.shape}"
-        )
-    if params.shape == 1.0:
-        return np.inf
-    excess = threshold_um - params.threshold_um
-    return (params.scale_um + params.shape * excess) / (1.0 - params.shape)
 
 
 def modified_scale(scale_um: float, shape: float, threshold_um: float) -> float:
@@ -91,15 +76,41 @@ class ThresholdScan:
     candidates: list[CandidateDiagnostics]
 
 
-def _as_diameters(data) -> np.ndarray:
+def _tails(data, candidates=(), floor: int = 1):
+    """Split the diameters at every candidate: every tail is a prefix.
+
+    Returns the diameters largest first (a dataset's as they are, an array
+    sorted once), the distinct candidates ascending, and each one's
+    exceedance count k, so that its exceedances are d[:k]. A diameter that
+    is not finite, or a candidate that is not a positive finite diameter,
+    is refused. The candidates
+    keeping fewer than `floor` exceedances are a run at the top of the
+    grid; they are dropped with one warning.
+    """
     if isinstance(data, SpecimenDataset):
-        return np.asarray(data.diameters_um, dtype=float)
-    return np.asarray(data, dtype=float).ravel()
+        d = data.diameters_um
+    else:
+        d = np.sort(np.asarray(data, dtype=float).ravel())[::-1]
+        if not np.isfinite(d).all():
+            raise ValueError("diameters must be finite: a NaN would sort into every tail")
+    mus = np.unique(np.asarray(candidates, dtype=float))
+    bad = mus[~((mus > 0.0) & (mus < np.inf))]
+    if bad.size:
+        raise ValueError(f"candidate threshold {bad[0]} is not a positive finite diameter")
+    counts = d.size - np.searchsorted(d[::-1], mus, side="right")
+    kept = int(np.count_nonzero(counts >= floor))
+    if kept < mus.size:
+        warnings.warn(
+            f"candidate {mus[kept]} and up ({mus.size - kept} candidate(s)) retain fewer "
+            f"than {floor} exceedances; excluded",
+            stacklevel=3,
+        )
+    return d, mus[:kept], counts[:kept]
 
 
 def default_candidate_grid(data) -> np.ndarray:
     """Empirical quantiles of the diameters from 50% to 99% in 1% steps."""
-    d = _as_diameters(data)
+    d = _tails(data)[0]
     if d.size == 0:
         raise ValueError("cannot build a candidate grid from an empty dataset")
     qs = np.arange(0.50, 0.9901, 0.01)
@@ -107,29 +118,16 @@ def default_candidate_grid(data) -> np.ndarray:
 
 
 def mean_excess_curve(data, candidates) -> ThresholdScan:
-    """Empirical mean excess over the candidate grid.
+    """Empirical mean excess over the distinct candidates.
 
     Candidates retaining fewer than two exceedances (including any above
-    the largest pore) are excluded with a warning.
+    the largest pore) are excluded with one warning.
     """
-    d = _as_diameters(data)
-    scan = ThresholdScan(candidates=[])
-    for mu in np.sort(np.asarray(candidates, dtype=float)):
-        excess = d[d > mu] - mu
-        if excess.size < 2:
-            warnings.warn(
-                f"candidate {mu} retains {excess.size} exceedance(s); excluded",
-                stacklevel=2,
-            )
-            continue
-        scan.candidates.append(
-            CandidateDiagnostics(
-                threshold_um=float(mu),
-                n_exceed=int(excess.size),
-                mean_excess_um=float(np.mean(excess)),
-            )
-        )
-    return scan
+    d, mus, counts = _tails(data, candidates, 2)
+    return ThresholdScan(candidates=[
+        CandidateDiagnostics(float(mu), int(k), float(np.mean(d[:k] - mu)))
+        for mu, k in zip(mus, counts)
+    ])
 
 
 def stability_scan(
@@ -146,9 +144,10 @@ def stability_scan(
     largest change of the shape estimate and of the modified scale over the
     usable candidates among the next `window` (at least 1), measured in
     that candidate's standard errors; a candidate passes when the score is
-    at most `tolerance` (finite and nonnegative). A candidate with fewer
-    than `min_tail_count` (at least 1) exceedances is excluded, and one with
-    no usable candidate in its window is left unscored and does not pass.
+    at most `tolerance` (finite and nonnegative). The candidates with fewer
+    than `min_tail_count` (at least 1) exceedances are excluded with one
+    warning, and one with no usable candidate in its window is left
+    unscored and does not pass.
     Candidates whose fit fails are kept but marked unusable.
     """
     if window < 1:
@@ -157,18 +156,11 @@ def stability_scan(
         raise ValueError(f"min_tail_count = {min_tail_count} must be at least 1 exceedance")
     if not 0.0 <= tolerance < np.inf:
         raise ValueError(f"stability_tolerance = {tolerance} must be finite and nonnegative")
-    d = _as_diameters(data)
+    d, mus, counts = _tails(data, candidates, min_tail_count)
     scan = ThresholdScan(candidates=[])
-    for mu in np.unique(np.asarray(candidates, dtype=float)):
-        exceed = d[d > mu]
-        if exceed.size < min_tail_count:
-            warnings.warn(
-                f"candidate {mu} retains {exceed.size} < {min_tail_count} "
-                "exceedances; excluded",
-                stacklevel=2,
-            )
-            continue
-        entry = CandidateDiagnostics(threshold_um=float(mu), n_exceed=int(exceed.size))
+    for mu, k in zip(mus, counts):
+        exceed = d[:k]
+        entry = CandidateDiagnostics(threshold_um=float(mu), n_exceed=int(k))
         entry.mean_excess_um = float(np.mean(exceed - mu))
         try:
             fit = select_estimator(exceed, mu, min_tail_count=min_tail_count)
@@ -212,22 +204,8 @@ def stability_scan(
     return scan
 
 
-def select_threshold(
-    scan: ThresholdScan,
-    mode: str = "auto",
-    manual_value: float | None = None,
-) -> float:
-    """Pick the threshold from a completed scan.
-
-    Auto mode returns the smallest passing candidate; manual mode returns
-    the supplied value verbatim (the chosen threshold is treated as exact).
-    """
-    if mode == "manual":
-        if manual_value is None:
-            raise ValueError("manual mode requires a threshold value")
-        return float(manual_value)
-    if mode != "auto":
-        raise ValueError(f"unknown selection mode {mode!r}")
+def select_threshold(scan: ThresholdScan) -> float:
+    """The smallest passing candidate of a completed scan."""
     for entry in scan.candidates:
         if entry.passes:
             return entry.threshold_um

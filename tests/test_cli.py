@@ -113,6 +113,26 @@ class TestSimulateAndGeom:
                          "--output", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value, field, domain", [
+        ("--lambda-above", "nan", "lambda_above_per_mm3", "finite and nonnegative"),
+        ("--lambda-above", "inf", "lambda_above_per_mm3", "finite and nonnegative"),
+        ("--lambda-below", "-1", "lambda_below_per_mm3", "finite and nonnegative"),
+        ("--volume", "inf", "specimen_volume_mm3", "finite and positive"),
+        ("--bulk-log-mean", "nan", "log_mean", "finite"),
+        ("--bulk-log-sigma", "inf", "log_sigma", "finite and positive"),
+    ])
+    def test_truth_outside_domain_is_refused_by_name(self, tmp_path, capsys, flag, value,
+                                                     field, domain):
+        # these used to fail inside numpy's Poisson draw or the volume check,
+        # with a message that named no option
+        out = tmp_path / "pores.csv"
+        code = main(["simulate", *TRUTH_FLAGS, flag, value, "--seed", "1",
+                     "--output", str(out)])
+        assert code == 1
+        assert (f"usage error: {field} = {float(value)} is not {domain}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_geom_missing_column_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("pore_id,volume_um3\np1,5.0\n")
@@ -366,6 +386,19 @@ class TestFit:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 3
         assert "no candidate threshold passed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("candidate", ["nan", "inf", "0", "-5"])
+    def test_candidate_not_a_positive_diameter_is_usage_error(self, workspace, tmp_path,
+                                                               capsys, candidate):
+        # nan used to be warned about and skipped, and -5 was fitted and scored
+        # though fit_tail refuses it as a threshold
+        code = main(["fit", "--input", str(workspace / "pores.csv"), "--specimen-id", "S",
+                     "--scanned-volume", "200", f"--candidates={candidate},20,25",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert (f"usage error: candidate threshold {float(candidate)} is not a positive "
+                "finite diameter" in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
 
 class TestPredict:
@@ -949,7 +982,7 @@ class TestReportRoundTrips:
                                      poretail.BulkModel(2.0, 0.5))
         dataset = poretail.generate_specimen(truth, seed, specimen_id=f"S{seed}")
         scan = poretail.stability_scan(dataset, poretail.default_candidate_grid(dataset))
-        fit = poretail.fit_tail(dataset, poretail.select_threshold(scan, "auto"))
+        fit = poretail.fit_tail(dataset, poretail.select_threshold(scan))
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
         write_fit_report(fit, first)
         back = read_fit_report(first)

@@ -3,10 +3,12 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import genpareto
 
-from poretail.gpd import GpdParams, TailFit, mle_covariance
+from poretail.extremes import fit_tail
+from poretail.gpd import FitError, GpdParams, TailFit, mle_covariance
 from poretail.threshold import (
     SCAN_COLUMNS,
     CandidateDiagnostics,
@@ -18,8 +20,9 @@ from poretail.threshold import (
     modified_scale_se,
     select_threshold,
     stability_scan,
-    theoretical_mean_excess,
 )
+
+from conftest import make_dataset
 
 
 def gpd_sample(shape, n, seed, scale=1.0, threshold=0.0):
@@ -56,18 +59,83 @@ class TestMeanExcess:
             scan = mean_excess_curve(np.array([1.0, 2.0, 3.0]), [0.5, 10.0])
         assert len(scan.candidates) == 1
 
-    def test_theoretical_line(self):
-        params = GpdParams(0.0, 2.0, 0.5)
-        # intercept scale/(1-shape), slope shape/(1-shape)
-        assert theoretical_mean_excess(params, 0.0) == pytest.approx(4.0)
-        assert theoretical_mean_excess(params, 3.0) == pytest.approx(4.0 + 3.0)
+    def test_repeated_candidates_listed_once(self):
+        scan = mean_excess_curve(np.array([1.0, 2.0, 3.0]), [0.5, 1.5, 0.5, 1.5, 0.5])
+        assert [c.threshold_um for c in scan.candidates] == [0.5, 1.5]
+        assert [c.mean_excess_um for c in scan.candidates] == [1.5, 1.0]
 
-    def test_theoretical_refused_above_one(self):
-        with pytest.raises(ValueError, match="shape <= 1"):
-            theoretical_mean_excess(GpdParams(0.0, 1.0, 1.2), 1.0)
 
-    def test_theoretical_infinite_at_one(self):
-        assert np.isinf(theoretical_mean_excess(GpdParams(0.0, 1.0, 1.0), 1.0))
+class TestOneWarningPerScan:
+    # the candidates left with too few exceedances are a run at the top of
+    # the grid; they used to be warned about one by one
+    def only_warning(self, scan, *args, **kwargs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = scan(*args, **kwargs)
+        assert [w.category for w in caught] == [UserWarning]
+        return result, str(caught[0].message)
+
+    def test_stability_scan(self):
+        x = gpd_sample(0.1, 3000, 13)
+        grid = np.quantile(x, [0.3, 0.5, 0.7, 0.995, 0.998, 0.999])
+        scan, message = self.only_warning(stability_scan, x, grid)
+        assert message == (f"candidate {grid[3]} and up (3 candidate(s)) retain fewer "
+                           "than 30 exceedances; excluded")
+        assert [c.threshold_um for c in scan.candidates] == list(grid[:3])
+
+    def test_mean_excess_curve(self):
+        scan, message = self.only_warning(
+            mean_excess_curve, np.arange(1.0, 11.0), [10.5, 0.5, 9.5, 8.5, 9.75]
+        )
+        assert message == ("candidate 9.5 and up (3 candidate(s)) retain fewer than 2 "
+                           "exceedances; excluded")
+        assert [c.threshold_um for c in scan.candidates] == [0.5, 8.5]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    levels=st.lists(st.integers(1, 25), min_size=1, max_size=80),
+    picks=st.lists(st.integers(1, 27), min_size=1, max_size=6),
+    order=st.randoms(use_true_random=False),
+)
+def test_prefix_split_matches_the_masks(levels, picks, order):
+    # diameters with ties, as a dataset (largest first) and as a shuffled
+    # array; the candidates repeat and may tie with a diameter
+    dataset = make_dataset(np.array(levels) * 1.5)
+    d = dataset.diameters_um
+    shuffled = d.copy()
+    order.shuffle(shuffled)
+    candidates = [1.5 * p for p in picks + picks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for data, x in ((dataset, d), (shuffled, shuffled)):
+            for scan in (mean_excess_curve(data, candidates),
+                         stability_scan(data, candidates, min_tail_count=2)):
+                assert [c.threshold_um for c in scan.candidates] == [
+                    mu for mu in sorted(set(candidates)) if np.sum(d > mu) >= 2
+                ]
+                for c in scan.candidates:
+                    tail = x[x > c.threshold_um]
+                    mean = float(np.mean(tail - c.threshold_um))
+                    assert c.n_exceed == tail.size
+                    # the array is sorted before the scan, so its sum may
+                    # differ from the mask's in the last bits
+                    assert c.mean_excess_um == (mean if x is d else pytest.approx(mean))
+    for mu in sorted(set(candidates)):
+        try:
+            fit = fit_tail(dataset, mu, min_tail_count=2)
+        except FitError:
+            continue
+        assert fit.exceedances_um.tobytes() == d[d > mu].tobytes()
+        assert fit.empirical_below_um.tobytes() == np.sort(d[d <= mu]).tobytes()
+
+
+@pytest.mark.parametrize("scan", [mean_excess_curve, stability_scan, default_candidate_grid])
+def test_nonfinite_array_diameter_refused(scan):
+    # the masks used to skip a NaN; sorted, it would lead every tail
+    args = () if scan is default_candidate_grid else ([1.0],)
+    with pytest.raises(ValueError, match="diameters must be finite"):
+        scan(np.array([3.0, np.nan, 2.0]), *args)
 
 
 class TestModifiedScale:
@@ -130,7 +198,7 @@ class TestStabilityScan:
         passing = [c.threshold_um for c in scan.candidates if c.passes]
         assert passing, "no candidate passed at all"
         assert min(passing) > crossover - 0.5
-        selected = select_threshold(scan, "auto")
+        selected = select_threshold(scan)
         assert abs(selected - crossover) < 0.5
 
     def test_deterministic(self):
@@ -155,7 +223,7 @@ class TestStabilityScan:
         assert last.usable and np.isnan(last.stability_score) and not last.passes
         lone = stability_scan(x, [np.quantile(x, 0.5)])
         with pytest.raises(ThresholdSelectionError, match="no candidate threshold passed"):
-            select_threshold(lone, "auto")
+            select_threshold(lone)
 
     def test_repeated_candidates_scanned_once(self):
         x = gpd_sample(0.1, 3000, 13)
@@ -182,27 +250,19 @@ class TestSelectThreshold:
 
     def test_first_passing_returned(self):
         scan = self.scan_with_passes([False, False, True, True])
-        assert select_threshold(scan, "auto") == 2.0
-
-    def test_manual_verbatim(self):
-        scan = self.scan_with_passes([False, False, False])
-        assert select_threshold(scan, "manual", manual_value=20.0) == 20.0
+        assert select_threshold(scan) == 2.0
 
     def test_no_pass_raises_with_near_misses(self):
         scan = self.scan_with_passes([False, False, False])
         with pytest.raises(ThresholdSelectionError, match="near-miss"):
-            select_threshold(scan, "auto")
+            select_threshold(scan)
 
     def test_exact_gpd_selects_within_one_step(self):
         x = gpd_sample(0.2, 8000, 1, scale=2.0, threshold=15.0)
         candidates = np.quantile(x, np.arange(0.001, 0.90, 0.01))
         scan = stability_scan(x, candidates)
-        selected = select_threshold(scan, "auto")
+        selected = select_threshold(scan)
         assert selected <= candidates[1]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            select_threshold(self.scan_with_passes([True]), "magic")
 
 
 def test_default_grid_spans_50_to_99_percent():
