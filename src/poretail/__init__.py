@@ -6,7 +6,7 @@ Gauss-Hermite rule) into the distribution of the largest pore in a volume
 of interest, and quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.4.5"
+__version__ = "0.4.6"
 
 from .geometry import (
     IngestError,
@@ -22,6 +22,7 @@ from .gpd import (
     FitError,
     GpdParams,
     TailFit,
+    UsageError,
     fit_mle,
     fit_mom,
     gpd_cdf,

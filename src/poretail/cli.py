@@ -9,8 +9,8 @@ sweep are deterministic: they accept a seed and ignore it.
 Each option is declared once, in the table of its INI section below: its
 flag, its config key, its type and its default.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 statistical precondition
-failure.
+Exit codes: 0 success, 1 usage (an unwritable output path too), 2 data
+error, 3 statistical precondition failure; any other error surfaces.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .extremes import (
     volume_sweep,
 )
 from .geometry import IngestError, dump_specimen, ingest_specimen
-from .gpd import MIN_TAIL_COUNT, FitError, GpdParams, qq_points
+from .gpd import MIN_TAIL_COUNT, FitError, GpdParams, UsageError, qq_points
 from .reports import (
     ReportParseError,
     config_sha256,
@@ -65,13 +65,9 @@ EXIT_DATA = 2
 EXIT_STAT = 3
 
 
-class CliUsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 on usage problems, not argparse's 2
-        raise CliUsageError(message)
+        raise UsageError(message)
 
 
 REQUIRED = object()  # the default of an option the command cannot run without
@@ -193,7 +189,7 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     if path:
         target = Path(path)
         if not target.is_file():
-            raise CliUsageError(f"config file not found: {path}")
+            raise UsageError(f"config file not found: {path}")
         try:
             config.read(target, encoding="utf-8")
         except configparser.Error as exc:
@@ -235,7 +231,7 @@ def _resolve(args) -> dict:
                 value = _config_value(config, section, option)
             if value is None:
                 if option.default is REQUIRED:
-                    raise CliUsageError(
+                    raise UsageError(
                         f"missing required option: {option.flag} (or [{section}] {option.key})"
                     )
                 value = option.default
@@ -247,7 +243,7 @@ def _resolve(args) -> dict:
 def _input_path(path: str | Path) -> Path:
     target = Path(path)
     if not target.is_file():
-        raise CliUsageError(f"input path not resolvable: {path}")
+        raise UsageError(f"input path not resolvable: {path}")
     return target
 
 
@@ -282,7 +278,7 @@ def cmd_geom(args) -> int:
 def cmd_fit(args) -> int:
     if (args.threshold_mode == "manual") != (args.threshold is not None):
         need = "is required with" if args.threshold is None else "is only read with"
-        raise CliUsageError(
+        raise UsageError(
             f"--threshold ([threshold] value) {need} --threshold-mode manual ([threshold] mode)"
         )
     dataset = _ingest(args)
@@ -483,7 +479,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.resolved = _resolve(args)
         return args.func(args)
-    except CliUsageError as exc:
+    except UsageError as exc:
         print(f"poretail: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IngestError, ReportParseError) as exc:
@@ -492,8 +488,10 @@ def main(argv=None) -> int:
     except (FitError, ThresholdSelectionError, CovarianceUnavailableError) as exc:
         print(f"poretail: statistical precondition failed: {exc}", file=sys.stderr)
         return EXIT_STAT
-    except ValueError as exc:
-        print(f"poretail: usage error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"poretail: usage error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

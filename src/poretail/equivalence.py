@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .extremes import LargestPoreDistribution, McConfig, VolumeOfInterest, sample_largest
-from .gpd import TailFit
+from .gpd import TailFit, UsageError
 
 FLAG_ABOVE_RANGE = "observation above histogram range; CDF floor reported"
 
@@ -70,7 +70,7 @@ def ks_statistic(cdf_a, cdf_b) -> float:
 
 def _check_observation(observed_um: float) -> None:
     if not (math.isfinite(observed_um) and observed_um >= 0.0):
-        raise ValueError(
+        raise UsageError(
             f"observed largest pore must be a finite, non-negative diameter "
             f"(um), got {observed_um}"
         )
@@ -79,7 +79,7 @@ def _check_observation(observed_um: float) -> None:
 def q_value(dist: LargestPoreDistribution, observed_um: float) -> float:
     """Estimated CDF at the observed largest pore (interpolated between edges).
 
-    A non-finite or negative observation is refused with a ValueError.
+    A non-finite or negative observation is refused with a UsageError.
     """
     _check_observation(observed_um)
     if observed_um > dist.bin_edges_um[-1] and dist.overflow_mass > 0:
@@ -93,7 +93,7 @@ def p_value(dist: LargestPoreDistribution, observed_um: float) -> float:
     Histogram masses are treated as atoms at their bin midpoints, the
     no-pore mass as an atom at 0 and the overflow mass as an atom at the
     top edge, so hand-countable discrete cases are exact. A non-finite or
-    negative observation is refused with a ValueError.
+    negative observation is refused with a UsageError.
     """
     _check_observation(observed_um)
     if not math.isfinite(dist.mean_um):

@@ -9,8 +9,8 @@ uniform-probability axis have closed forms, so the engine evaluates the
 largest-pore CDF exactly at the histogram edges and integrates it over
 (scale, shape) with a tensor Gauss-Hermite rule on the fit's bivariate
 normal, doubling the nodes until two rules agree; their difference is
-reported as the CDF's precision. The nodes are processed in blocks of
-bounded size, and the result does not depend on the block size.
+reported as the CDF's precision. Each diameter's sum over the nodes is
+one reduction, so the result does not depend on the size of its block.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .gpd import (
     GpdParams,
     MIN_TAIL_COUNT,
     TailFit,
+    UsageError,
     _log_survival,
     gpd_cdf,
     select_estimator,
@@ -56,7 +57,7 @@ _SUMMARY_FIELDS = (
     "mean_um", "p2_5_um", "p50_um", "p97_5_um", "no_pore_mass", "overflow_mass",
     "n_samples_total", "nodes_per_axis", "cdf_precision",
 )
-# Elements per block of (scale, shape) nodes x diameters: bounds the engine's
+# Elements per block of diameters x (scale, shape) nodes: bounds the engine's
 # temporaries at about 512 kB each.
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -81,7 +82,7 @@ class VolumeOfInterest:
 
     def __post_init__(self) -> None:
         if not 0 < self.volume_mm3 < np.inf:
-            raise ValueError(f"volume_mm3 must be finite and positive, got {self.volume_mm3}")
+            raise UsageError(f"volume_mm3 must be finite and positive, got {self.volume_mm3}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,9 @@ class McConfig:
 
     def __post_init__(self) -> None:
         if self.histogram_bins < 16:
-            raise ValueError("histogram_bins must be >= 16")
+            raise UsageError("histogram_bins must be >= 16")
         if self.uncertainty_mode not in UNCERTAINTY_MODES:
-            raise ValueError(
+            raise UsageError(
                 f"uncertainty_mode must be one of {UNCERTAINTY_MODES}, "
                 f"got {self.uncertainty_mode!r}"
             )
@@ -153,11 +154,11 @@ def fit_exceedances(
     or an exceedance not above the threshold, is refused by name before the
     fit."""
     if not 0.0 < threshold_um < np.inf:
-        raise ValueError(f"threshold_um = {threshold_um} is not a positive diameter")
+        raise UsageError(f"threshold_um = {threshold_um} is not a positive diameter")
     if not 0.0 < scanned_volume_mm3 < np.inf:
-        raise ValueError(f"scanned_volume_mm3 = {scanned_volume_mm3} is not finite and positive")
+        raise UsageError(f"scanned_volume_mm3 = {scanned_volume_mm3} is not finite and positive")
     if not np.all(np.asarray(exceedances_um) > threshold_um):
-        raise ValueError("exceedances_um must lie above threshold_um")
+        raise UsageError("exceedances_um must lie above threshold_um")
     fit = select_estimator(exceedances_um, threshold_um, min_tail_count=min_tail_count)
     n_above, n_below = fit.n_exceed, np.size(below_um)
     return replace(
@@ -391,16 +392,12 @@ class _LargestCdf:
         return _laplace_rate(self.volume * np.exp(log_s), self.lam, self.lam_se)
 
     def _mean_over_params(self, d: np.ndarray) -> np.ndarray:
-        rows = max(1, _CHUNK_ELEMENTS // max(d.size, 1))
-        total = np.zeros(d.size)
-        for start in range(0, self.sigma.size, rows):
-            block = slice(start, start + rows)
-            log_s = _log_survival(
-                self.threshold, self.sigma[block, None], self.xi[block, None], d
-            )
-            # row by row, so that the sum does not depend on the block size
-            for w, row in zip(self.weights[block], self._given_params(log_s)):
-                total += w * row
+        step = max(1, _CHUNK_ELEMENTS // self.sigma.size)
+        total = np.empty(d.size)
+        for start in range(0, d.size, step):
+            block = slice(start, start + step)
+            log_s = _log_survival(self.threshold, self.sigma, self.xi, d[block, None])
+            total[block] = np.add.reduce(self.weights * self._given_params(log_s), axis=1)
         return total
 
 
@@ -530,7 +527,7 @@ def volume_sweep(
     """
     vois = [VolumeOfInterest(volume) for volume in volumes_mm3]
     if not vois:
-        raise ValueError("volume list must not be empty")
+        raise UsageError("volume list must not be empty")
     if any(b.volume_mm3 <= a.volume_mm3 for a, b in zip(vois, vois[1:])):
-        raise ValueError("volumes must be strictly ascending")
+        raise UsageError("volumes must be strictly ascending")
     return [sample_largest(fit, voi, config) for voi in vois]

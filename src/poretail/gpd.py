@@ -32,6 +32,10 @@ class FitError(RuntimeError):
     """Tail fit could not be produced from the given exceedances."""
 
 
+class UsageError(ValueError):
+    """An argument outside its domain: the caller's mistake, refused by name."""
+
+
 @dataclass(frozen=True)
 class GpdParams:
     """Threshold (um), scale (um) and shape of a Generalized Pareto tail:
@@ -44,9 +48,9 @@ class GpdParams:
     def __post_init__(self) -> None:
         for key in ("threshold_um", "shape"):
             if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} = {getattr(self, key)} is not finite")
+                raise UsageError(f"{key} = {getattr(self, key)} is not finite")
         if not 0.0 < self.scale_um < math.inf:
-            raise ValueError(f"scale_um = {self.scale_um} is not finite and positive")
+            raise UsageError(f"scale_um = {self.scale_um} is not finite and positive")
 
     @property
     def upper_support_um(self) -> float:

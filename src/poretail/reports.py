@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution, fit_exceedances
 from .geometry import IngestError, _parse, _quoted, _table_columns, _write_columns
-from .gpd import RATE_KEYS, REFIT_ATOL, REFIT_RTOL, FitError, TailFit
+from .gpd import RATE_KEYS, REFIT_ATOL, REFIT_RTOL, FitError, TailFit, UsageError
 
 FIT_FORMAT = "poretail-fit/1"
 PREDICTION_FORMAT = "poretail-prediction/1"
@@ -83,7 +83,7 @@ def _keyvalue_text(items: Iterable[tuple[str, object]]) -> str:
     for key, value in items:
         text = fmt(value)
         if "\n" in text or "\r" in text or text != text.strip():
-            raise ValueError(
+            raise UsageError(
                 f"{key} = {text!r}: a report value may not hold a line break "
                 "or start or end with whitespace"
             )

@@ -24,7 +24,7 @@ import numpy as np
 from .equivalence import EmpiricalCdf
 from .extremes import CovarianceUnavailableError
 from .geometry import SpecimenDataset, _pow, sphere_surface_area
-from .gpd import GpdParams, TailFit
+from .gpd import GpdParams, TailFit, UsageError
 
 _CHUNK_PORE_DRAWS = 4_000_000
 
@@ -38,9 +38,9 @@ class BulkModel:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.log_mean):
-            raise ValueError(f"log_mean = {self.log_mean} is not finite")
+            raise UsageError(f"log_mean = {self.log_mean} is not finite")
         if not 0.0 < self.log_sigma < np.inf:
-            raise ValueError(f"log_sigma = {self.log_sigma} is not finite and positive")
+            raise UsageError(f"log_sigma = {self.log_sigma} is not finite and positive")
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,13 @@ class GroundTruth:
     def __post_init__(self) -> None:
         for name in ("lambda_above_per_mm3", "lambda_below_per_mm3"):
             if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} = {getattr(self, name)} is not finite and nonnegative")
+                raise UsageError(f"{name} = {getattr(self, name)} is not finite and nonnegative")
         if not 0.0 < self.specimen_volume_mm3 < np.inf:
-            raise ValueError(
+            raise UsageError(
                 f"specimen_volume_mm3 = {self.specimen_volume_mm3} is not finite and positive"
             )
         if not self.tail.threshold_um > 0:
-            raise ValueError("tail threshold must be positive for physical sizes")
+            raise UsageError("tail threshold must be positive for physical sizes")
 
 
 def _sample_bulk(

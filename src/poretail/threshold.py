@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SpecimenDataset
-from .gpd import MIN_TAIL_COUNT, FitError, TailFit, select_estimator
+from .gpd import MIN_TAIL_COUNT, FitError, TailFit, UsageError, select_estimator
 
 DEFAULT_STABILITY_TOLERANCE = 0.5
 DEFAULT_STABILITY_WINDOW = 3
@@ -92,11 +92,11 @@ def _tails(data, candidates=(), floor: int = 1):
     else:
         d = np.sort(np.asarray(data, dtype=float).ravel())[::-1]
         if not np.isfinite(d).all():
-            raise ValueError("diameters must be finite: a NaN would sort into every tail")
+            raise UsageError("diameters must be finite: a NaN would sort into every tail")
     mus = np.unique(np.asarray(candidates, dtype=float))
     bad = mus[~((mus > 0.0) & (mus < np.inf))]
     if bad.size:
-        raise ValueError(f"candidate threshold {bad[0]} is not a positive finite diameter")
+        raise UsageError(f"candidate threshold {bad[0]} is not a positive finite diameter")
     counts = d.size - np.searchsorted(d[::-1], mus, side="right")
     kept = int(np.count_nonzero(counts >= floor))
     if kept < mus.size:
@@ -151,11 +151,11 @@ def stability_scan(
     Candidates whose fit fails are kept but marked unusable.
     """
     if window < 1:
-        raise ValueError(f"stability window = {window} must be at least 1 candidate")
+        raise UsageError(f"stability window = {window} must be at least 1 candidate")
     if min_tail_count < 1:
-        raise ValueError(f"min_tail_count = {min_tail_count} must be at least 1 exceedance")
+        raise UsageError(f"min_tail_count = {min_tail_count} must be at least 1 exceedance")
     if not 0.0 <= tolerance < np.inf:
-        raise ValueError(f"stability_tolerance = {tolerance} must be finite and nonnegative")
+        raise UsageError(f"stability_tolerance = {tolerance} must be finite and nonnegative")
     d, mus, counts = _tails(data, candidates, min_tail_count)
     scan = ThresholdScan(candidates=[])
     for mu, k in zip(mus, counts):

@@ -195,9 +195,9 @@ def test_criterion_09_volume_sweep_plateau():
 
 
 def test_criterion_10_performance_and_determinism(monkeypatch):
-    # the engine evaluates the (scale, shape) nodes in blocks of at most
-    # _CHUNK_ELEMENTS node-diameter pairs; the result must not depend on the
-    # block size, from one node per block to blocks 16 times the default
+    # the engine evaluates the diameters in blocks of at most _CHUNK_ELEMENTS
+    # node-diameter pairs; the result must not depend on the block size,
+    # from one diameter per block to blocks 16 times the default
     fit = synthetic_fit(threshold=20.0, scale=3.0, shape=0.1, n_exceed=100_000,
                         lam_above=100.0, lam_below=50.0, n_below=500, emp_seed=1)
     voi = pt.VolumeOfInterest(2.0)

@@ -1,5 +1,7 @@
 import configparser
 import csv
+import errno
+import math
 import os
 import re
 import subprocess
@@ -1050,6 +1052,72 @@ class TestReportRoundTrips:
         )
         assert proc.returncode == 0
         assert "poretail" in proc.stdout
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", [
+        "geom", "fit-specimen-id", "fit-tag", "predict", "compare", "sweep", "simulate",
+    ])
+    def test_unwritable_output_is_usage_error(self, workspace, tmp_path, capsys, command):
+        # each used to end in a FileNotFoundError or FileExistsError traceback
+        pores, run, out = str(workspace / "pores.csv"), workspace / "run", tmp_path / "no" / "o.csv"
+        fit = ["fit", "--input", pores, "--scanned-volume", "200", "--threshold-mode", "manual",
+               "--threshold", "20", "--candidates", "20", "--out-dir", str(tmp_path)]
+        missing, exists = os.strerror(errno.ENOENT), os.strerror(errno.EEXIST)
+        argv, path, reason = {
+            "geom": (["geom", "--input", pores, "--specimen-id", "SYN", "--scanned-volume", "200",
+                      "--output", str(out)], out, missing),
+            # the specimen id is the default tag
+            "fit-specimen-id": ([*fit, "--specimen-id", "a/b"], tmp_path / "a/b_fit.txt", missing),
+            "fit-tag": ([*fit, "--specimen-id", "SYN", "--tag", "x/y"], tmp_path / "x/y_fit.txt",
+                        missing),
+            "predict": (["predict", "--fit", str(run / "syn_fit.txt"), "--volume", "100",
+                         "--out-dir", str(run / "syn_fit.txt")], run / "syn_fit.txt", exists),
+            "compare": (["compare", "--prediction", str(run / "pred"), "--observed", "41.3",
+                         "--output", str(out)], out, missing),
+            "sweep": (["sweep", "--fit", str(run / "syn_fit.txt"), "--volumes", "25,50",
+                       "--mode", "none", "--output", str(out)], out, missing),
+            "simulate": (["simulate", *TRUTH_FLAGS, "--seed", "1", "--output", str(out)], out,
+                         missing),
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"poretail: usage error: cannot write {path}: {reason}\n"
+
+    @pytest.mark.parametrize("fault", [
+        ValueError("fault inside the engine"),  # used to be reported as a usage error
+        OSError(errno.EIO, "fault naming no file"),
+    ], ids=["ValueError", "OSError"])
+    def test_fault_inside_a_command_surfaces(self, workspace, tmp_path, monkeypatch, fault):
+        def engine(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(poretail.cli, "sample_largest", engine)
+        with pytest.raises(type(fault), match="fault"):
+            main(["predict", "--fit", str(workspace / "run" / "syn_fit.txt"), "--volume", "100",
+                  "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("refusal", [
+    lambda: poretail.VolumeOfInterest(0.0),
+    lambda: poretail.McConfig(histogram_bins=8),
+    lambda: poretail.McConfig(uncertainty_mode="some"),
+    lambda: poretail.extremes.fit_exceedances(np.array([25.0]), np.array([10.0]), 0.0, 1.0),
+    lambda: poretail.volume_sweep(synthetic_fit(), [], poretail.McConfig()),
+    lambda: poretail.stability_scan([1.0, 2.0], [1.0], window=0),
+    lambda: poretail.mean_excess_curve([1.0, 2.0], [float("nan")]),
+    lambda: poretail.GpdParams(20.0, 0.0, 0.1),
+    lambda: poretail.GroundTruth(poretail.GpdParams(20.0, 3.0, 0.1), -1.0, 1.0, 1.0,
+                                 poretail.BulkModel(2.0, 0.5)),
+    lambda: poretail.BulkModel(2.0, 0.0),
+    lambda: poretail.reports._keyvalue_text([("fit_id", " S")]),
+    lambda: poretail.q_value(
+        poretail.LargestPoreDistribution(np.array([1.0, 2.0]), np.array([0.0, 1.0])), math.nan),
+], ids=["volume", "bins", "mode", "threshold", "volumes", "window", "candidate", "scale",
+        "rate", "log-sigma", "report-value", "observation"])
+def test_library_refusals_are_usage_errors(refusal):
+    # main maps UsageError to exit 1; any other ValueError surfaces
+    with pytest.raises(poretail.UsageError):
+        refusal()
 
 
 def test_readme_library_block_runs(workspace, monkeypatch, capsys):

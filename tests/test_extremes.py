@@ -17,7 +17,7 @@ from poretail.extremes import (
     sample_largest,
     volume_sweep,
 )
-from poretail.gpd import FitError, GpdParams, gpd_quantile
+from poretail.gpd import FitError, GpdParams, _log_survival, gpd_quantile
 from poretail.synthetic import brute_force_fit_largest
 
 from conftest import differing_fields, make_dataset, synthetic_fit
@@ -443,6 +443,48 @@ class TestParameterRule:
         assert one.cdf_at_edges.tobytes() == two.cdf_at_edges.tobytes()
         assert one.bin_edges_um.tobytes() == two.bin_edges_um.tobytes()
         assert one.summary() == two.summary()
+
+
+# elements per block of the engine's diameters x nodes temporaries: the
+# default, all of a call in one block, and a size that leaves the 64 x 64
+# rule three diameters per block
+BLOCK_SIZES = (extremes._CHUNK_ELEMENTS, 1 << 20, 3 * 64 * 64 + 1)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    shape=st.floats(-0.3, 0.6),
+    n_exceed=st.integers(50, 5000),
+    log_lam_v=st.floats(math.log10(0.3), 4.0),
+    mode=st.sampled_from(extremes.UNCERTAINTY_MODES),
+)
+def test_result_independent_of_block_size(shape, n_exceed, log_lam_v, mode):
+    fit = synthetic_fit(shape=shape, n_exceed=n_exceed)  # lam_above = 1 per mm3
+    voi = VolumeOfInterest(10.0**log_lam_v)
+    cfg = McConfig(histogram_bins=64, uncertainty_mode=mode)
+    runs = []
+    for size in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(extremes, "_CHUNK_ELEMENTS", size)
+            runs.append(sample_largest(fit, voi, cfg))
+    ref = runs[0]
+    for other in runs[1:]:
+        assert ref.bin_edges_um.tobytes() == other.bin_edges_um.tobytes()
+        assert ref.cdf_at_edges.tobytes() == other.cdf_at_edges.tobytes()
+        assert ref.summary() == other.summary()
+
+
+def test_node_sum_matches_fsum():
+    # each diameter's mean over the 64 x 64 rule is one pairwise reduction;
+    # against the correctly rounded sum of the same weighted node values
+    fit = synthetic_fit(lam_above=10.0, n_exceed=2000)
+    cdf = extremes._LargestCdf(fit, 100.0, "all", 64)
+    d = np.array([42.0, 50.0, 58.0, 70.0, 90.0])
+    log_s = _log_survival(fit.params.threshold_um, cdf.sigma, cdf.xi, d[:, None])
+    terms = cdf.weights * cdf._given_params(log_s)
+    exact = np.array([math.fsum(row) for row in terms])
+    assert 0.01 < exact.min() and exact.max() < 0.99
+    assert np.max(np.abs(cdf._mean_over_params(d) - exact)) <= 1e-15
 
 
 # 99.9% Dvoretzky-Kiefer-Wolfowitz band of the brute-force oracle
