@@ -6,11 +6,10 @@ Gauss-Hermite rule) into the distribution of the largest pore in a volume
 of interest, and quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.4.6"
+__version__ = "0.4.7"
 
 from .geometry import (
     IngestError,
-    GeometryError,
     SpecimenDataset,
     aspect_ratio,
     dump_specimen,

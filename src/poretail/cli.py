@@ -35,7 +35,7 @@ from .extremes import (
     sample_largest,
     volume_sweep,
 )
-from .geometry import IngestError, dump_specimen, ingest_specimen
+from .geometry import IngestError, _read_text, dump_specimen, ingest_specimen
 from .gpd import MIN_TAIL_COUNT, FitError, GpdParams, UsageError, qq_points
 from .reports import (
     ReportParseError,
@@ -191,11 +191,12 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
         if not target.is_file():
             raise UsageError(f"config file not found: {path}")
         try:
-            config.read(target, encoding="utf-8")
+            with open(target, "r", encoding="utf-8") as handle:
+                config.read_string(_read_text(handle), source=path)
         except configparser.Error as exc:
             raise IngestError(f"malformed config {path}, {_config_error(exc)}") from exc
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"config {path}: byte {exc.start}: not UTF-8 text") from None
+        except IngestError as exc:
+            raise IngestError(f"config {path}: {exc}") from None
     if config.defaults():  # its keys would apply to every section
         raise IngestError(f"config {path}: no command reads section [{config.default_section}]")
     for section in config.sections():
@@ -286,8 +287,6 @@ def cmd_fit(args) -> int:
     if args.candidates:
         candidates = np.array(args.candidates)
     else:
-        if len(dataset) == 0:
-            raise FitError("dataset has no pores; nothing to fit")
         candidates = default_candidate_grid(dataset)
 
     scan = stability_scan(

@@ -169,9 +169,6 @@ def plate_distances(
     return cartesian, radial
 
 
-KS_MATRIX_COLUMNS = ("volume_mm3", "ks_poisson_vs_none", "ks_all_vs_none")
-
-
 def mode_comparison_table(
     fit: TailFit,
     volumes_mm3: Sequence[float],
@@ -180,7 +177,8 @@ def mode_comparison_table(
     """KS distances from the no-uncertainty CDF per volume and mode.
 
     `config` is run in each of the modes "none", "poisson_only" and "all",
-    whatever its own uncertainty_mode; rows match KS_MATRIX_COLUMNS.
+    whatever its own uncertainty_mode. Each row is (volume_mm3, KS distance
+    of poisson_only from none, KS distance of all from none).
     """
     rows = []
     for volume in volumes_mm3:

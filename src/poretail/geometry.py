@@ -22,6 +22,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .gpd import UsageError
+
 # Pore-level measurements are in um / um^2 / um^3; specimen volumes in mm^3.
 REQUIRED_COLUMNS = (
     "pore_id",
@@ -38,10 +40,6 @@ FLAG_SPHERICITY_ABOVE_UNITY = "sphericity above 1 (surface area below spherical 
 # Characters that make csv's minimal quoting quote a cell. A lone "\r" is
 # among them, so that a dump re-ingests.
 _QUOTE_CHARS = (",", '"', "\r", "\n")
-
-
-class GeometryError(ValueError):
-    """A pore measurement is outside its physical domain."""
 
 
 class IngestError(ValueError):
@@ -64,7 +62,7 @@ def _positive(name: str, value) -> np.ndarray:
     values = np.asarray(value, dtype=float)
     bad = values[~(values > 0)]
     if bad.size:
-        raise GeometryError(f"{name} must be positive, got {bad[0]}")
+        raise UsageError(f"{name} must be positive, got {bad[0]}")
     return values
 
 
@@ -86,7 +84,7 @@ def aspect_ratio(min_feret, max_feret):
     lo, hi = np.broadcast_arrays(_positive("min_feret", min_feret), _positive("max_feret", max_feret))
     above = lo > hi
     if np.any(above):
-        raise GeometryError(f"min_feret {lo[above][0]} exceeds max_feret {hi[above][0]}")
+        raise UsageError(f"min_feret {lo[above][0]} exceeds max_feret {hi[above][0]}")
     return lo / hi
 
 
@@ -130,12 +128,12 @@ def _measurement(column: str, cells: np.ndarray) -> np.ndarray:
     return values
 
 
-def _coordinate(column: str, cells: np.ndarray) -> np.ndarray:
-    """Parse a centroid column: NaN where blank, and finite elsewhere."""
+def _blank_coordinates(column: str, cells: np.ndarray) -> np.ndarray:
+    """Where a centroid column is blank; refuses a cell elsewhere that is not a finite number."""
     blank = np.array([not cell for cell in cells], dtype=bool)
     values = _parse(column, np.where(blank, "nan", cells))
     _refuse_first(~blank & ~np.isfinite(values), column, cells, "must be finite")
-    return values
+    return blank
 
 
 def _first_repeat(values: Sequence[str]) -> int | None:
@@ -164,14 +162,12 @@ class SpecimenDataset:
     or a repeated pore_id.
 
     It then derives the arrays ``diameters_um``, ``aspect_ratios`` and
-    ``sphericities``, and ``centroid_um`` (n x 3, NaN where a pore's
-    centroid is incomplete; None without centroid columns). Every column,
-    text and arrays alike, is in canonical order: equivalent diameter
-    descending, ties in table order. ``quality_flags`` holds
-    FLAG_SPHERICITY_ABOVE_UNITY when some sphericity exceeds 1: the surface
-    area is below the spherical minimum (a voxel effect), which is flagged,
-    not refused. Immutable after construction, with read-only arrays; safe
-    for concurrent reads.
+    ``sphericities``. Every column, text and arrays alike, is in canonical
+    order: equivalent diameter descending, ties in table order.
+    ``quality_flags`` holds FLAG_SPHERICITY_ABOVE_UNITY when some sphericity
+    exceeds 1: the surface area is below the spherical minimum (a voxel
+    effect), which is flagged, not refused. Immutable after construction,
+    with read-only arrays; safe for concurrent reads.
     """
 
     specimen_id: str
@@ -180,7 +176,6 @@ class SpecimenDataset:
     diameters_um: np.ndarray = field(init=False, repr=False)
     aspect_ratios: np.ndarray = field(init=False, repr=False)
     sphericities: np.ndarray = field(init=False, repr=False)
-    centroid_um: np.ndarray | None = field(init=False, repr=False)
     quality_flags: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -204,16 +199,11 @@ class SpecimenDataset:
                 f"row {repeat_row + 2}, column pore_id: repeats {text['pore_id'][repeat_row]!r}"
             )
 
-        centroid = None
         if CENTROID_COLUMNS[0] in text:
-            xyz = np.column_stack([_coordinate(c, text[c]) for c in CENTROID_COLUMNS])
-            incomplete = np.isnan(xyz).any(axis=1)
-            if incomplete.all():
+            blank = np.column_stack([_blank_coordinates(c, text[c]) for c in CENTROID_COLUMNS])
+            if blank.any(axis=1).all():
                 for column in CENTROID_COLUMNS:
                     del text[column]
-            else:
-                xyz[incomplete] = math.nan
-                centroid = xyz
 
         diameters = _equiv_diameter(volume)
         sphericities = _sphere_surface_area(volume) / area
@@ -229,7 +219,6 @@ class SpecimenDataset:
         set_field(self, "diameters_um", canonical(diameters))
         set_field(self, "aspect_ratios", canonical(lo / hi))
         set_field(self, "sphericities", canonical(sphericities))
-        set_field(self, "centroid_um", None if centroid is None else canonical(centroid))
         set_field(
             self, "quality_flags",
             (FLAG_SPHERICITY_ABOVE_UNITY,) if np.any(sphericities > 1.0) else (),
@@ -299,6 +288,19 @@ def _csv_columns(
     return _row_columns(rows[1:], index, required)
 
 
+def _read_text(source: IO[str]) -> str:
+    """All the text of a UTF-8 stream, without a leading byte-order mark.
+
+    Raises IngestError naming the byte offset of text that is not UTF-8.
+    """
+    try:
+        text = source.read()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
+    # Drop the byte-order mark that "CSV UTF-8" exports start with.
+    return text.removeprefix("\ufeff")
+
+
 def _table_columns(
     table: IO[str], required: Sequence[str], optional: Sequence[str] = ()
 ) -> dict[str, list[str]]:
@@ -309,12 +311,7 @@ def _table_columns(
     comma separates cells; rows of the header's width are then joined and
     split once, and each column is a stride slice of the cells.
     """
-    try:
-        text = table.read()
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
-    # Drop the byte-order mark that "CSV UTF-8" exports start with.
-    text = text.removeprefix("\ufeff")
+    text = _read_text(table)
     if '"' in text:
         return _csv_columns(text, required, optional)
     # csv breaks lines at "\r\n", "\r" and "\n", and at nothing else.

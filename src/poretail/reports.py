@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution, fit_exceedances
-from .geometry import IngestError, _parse, _quoted, _table_columns, _write_columns
+from .geometry import IngestError, _parse, _quoted, _read_text, _table_columns, _write_columns
 from .gpd import RATE_KEYS, REFIT_ATOL, REFIT_RTOL, FitError, TailFit, UsageError
 
 FIT_FORMAT = "poretail-fit/1"
@@ -92,16 +92,29 @@ def _keyvalue_text(items: Iterable[tuple[str, object]]) -> str:
 
 
 def _read_keyvalues(path: str | Path) -> dict[str, str]:
+    """The "key = value" lines of a report, read as a pore table's text is
+    (see _read_text); refuses a line that is neither one nor a comment, and
+    a repeated key, by line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = _read_text(handle)
+    except IngestError as exc:
+        raise ReportParseError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ReportParseError(f"{path}: line {line_no} is not 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    first_line: dict[str, int] = {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ReportParseError(f"{path}: line {line_no} is not 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in first_line:
+            raise ReportParseError(
+                f"{path}: line {line_no}: {key} is repeated (first on line {first_line[key]})"
+            )
+        values[key], first_line[key] = value.strip(), line_no
     return values
 
 
@@ -140,21 +153,24 @@ def write_fit_report(
 ) -> None:
     """Serialize a fitted tail with the data read_fit_report refits it from:
     the threshold, the scanned volume, the exceedances in the order they
-    were fitted and the sub-threshold sample."""
+    were fitted and the sub-threshold sample.
+
+    As in write_prediction, each key is written once, in the place it first
+    takes, with the last value given for it."""
     if fit.exceedances_um is None or fit.scanned_volume_mm3 is None:
         raise ValueError("fit lacks the data it was fitted from; build it with fit_tail()")
-    items = [
-        ("format", FIT_FORMAT),
-        ("toolkit_version", __version__),
-        *(provenance or {}).items(),
-        ("fit_id", fit.fit_id),
-        ("threshold_um", fit.params.threshold_um),
-        *_refitted_items(fit),
-        ("scanned_volume_mm3", fit.scanned_volume_mm3),
-        *((key, ",".join(map(repr, getattr(fit, key).tolist())))
-          for key in ("exceedances_um", "empirical_below_um")),
-    ]
-    text = _keyvalue_text(items)
+    items = {
+        "format": FIT_FORMAT,
+        "toolkit_version": __version__,
+        **(provenance or {}),
+        "fit_id": fit.fit_id,
+        "threshold_um": fit.params.threshold_um,
+        **dict(_refitted_items(fit)),
+        "scanned_volume_mm3": fit.scanned_volume_mm3,
+        **{key: ",".join(map(repr, getattr(fit, key).tolist()))
+           for key in ("exceedances_um", "empirical_below_um")},
+    }
+    text = _keyvalue_text(items.items())
     with open(dest, "w", encoding="utf-8") as handle:
         handle.write(text)
 

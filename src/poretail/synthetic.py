@@ -27,6 +27,8 @@ from .geometry import SpecimenDataset, _pow, sphere_surface_area
 from .gpd import GpdParams, TailFit, UsageError
 
 _CHUNK_PORE_DRAWS = 4_000_000
+# numpy's largest Poisson mean: it refuses to draw from any above it.
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,13 @@ class GroundTruth:
             raise UsageError(
                 f"specimen_volume_mm3 = {self.specimen_volume_mm3} is not finite and positive"
             )
+        for name in ("lambda_above_per_mm3", "lambda_below_per_mm3"):
+            count = getattr(self, name) * self.specimen_volume_mm3
+            if count > _POISSON_MEAN_MAX:
+                raise UsageError(
+                    f"{name} * specimen_volume_mm3 = {count:g} expected pores is above "
+                    f"{_POISSON_MEAN_MAX:.4g}, the largest Poisson mean numpy draws from"
+                )
         if not self.tail.threshold_um > 0:
             raise UsageError("tail threshold must be positive for physical sizes")
 
@@ -88,7 +97,9 @@ def generate_specimen(
     Tail and bulk counts are Poisson in the specimen volume; tail sizes are
     scipy Generalized Pareto draws. The measured columns describe spheres
     (aspect ratio and sphericity of exactly 1) in shortest round-trip float
-    text, so a dump re-ingests to the same values.
+    text, so a dump re-ingests to the same values. A drawn diameter whose
+    sphere has no finite positive volume is refused, naming the truth field
+    (tail or bulk) that drew it.
     """
     # imported here so that `import poretail` does not load scipy.stats
     from scipy.stats import genpareto
@@ -107,6 +118,15 @@ def generate_specimen(
     bulk_sizes = _sample_bulk(rng, truth.bulk, truth.tail.threshold_um, n_bulk)
 
     tail_sizes = np.atleast_1d(tail_sizes)
+    for name, sizes in (("tail", tail_sizes), ("bulk", bulk_sizes)):
+        with np.errstate(over="ignore", under="ignore"):
+            six_volumes = np.pi * sizes**3  # the derived columns are computed from these
+        bad = sizes[~((six_volumes > 0.0) & (six_volumes < np.inf))]
+        if bad.size:
+            raise UsageError(
+                f"{name} drew a diameter of {bad[0]} um, whose sphere's volume is not "
+                "finite and positive"
+            )
     diameters = np.concatenate([tail_sizes, bulk_sizes])
     volumes = np.pi / 6.0 * _pow(diameters, 3.0)
     ids = [f"t{i:06d}" for i in range(tail_sizes.size)]

@@ -65,7 +65,6 @@ class CandidateDiagnostics:
     sigma_star_se: float = np.nan
     xi_se: float = np.nan
     stability_score: float = np.nan
-    usable: bool = False
     passes: bool = False
 
 
@@ -112,7 +111,7 @@ def default_candidate_grid(data) -> np.ndarray:
     """Empirical quantiles of the diameters from 50% to 99% in 1% steps."""
     d = _tails(data)[0]
     if d.size == 0:
-        raise ValueError("cannot build a candidate grid from an empty dataset")
+        raise FitError("dataset has no pores; nothing to fit")
     qs = np.arange(0.50, 0.9901, 0.01)
     return np.unique(np.quantile(d, qs))
 
@@ -142,13 +141,13 @@ def stability_scan(
 
     Repeated candidates are scanned once. The score at a candidate is the
     largest change of the shape estimate and of the modified scale over the
-    usable candidates among the next `window` (at least 1), measured in
+    fitted candidates among the next `window` (at least 1), measured in
     that candidate's standard errors; a candidate passes when the score is
     at most `tolerance` (finite and nonnegative). The candidates with fewer
     than `min_tail_count` (at least 1) exceedances are excluded with one
-    warning, and one with no usable candidate in its window is left
-    unscored and does not pass.
-    Candidates whose fit fails are kept but marked unusable.
+    warning, and one with no fitted candidate in its window is left
+    unscored and does not pass. A candidate whose fit fails is kept with
+    NaN estimates.
     """
     if window < 1:
         raise UsageError(f"stability window = {window} must be at least 1 candidate")
@@ -167,7 +166,6 @@ def stability_scan(
         except FitError:
             scan.candidates.append(entry)
             continue
-        entry.usable = True
         entry.sigma_hat_um = fit.params.scale_um
         entry.xi_hat = fit.params.shape
         entry.sigma_star_um = modified_scale(fit.params.scale_um, fit.params.shape, mu)
@@ -181,15 +179,9 @@ def stability_scan(
         scan.candidates.append(entry)
 
     for k, entry in enumerate(scan.candidates):
-        if not entry.usable:
-            continue
         if not np.isfinite(entry.sigma_star_se) or not np.isfinite(entry.xi_se):
             continue
-        forward = [
-            c
-            for c in scan.candidates[k + 1 : k + 1 + window]
-            if c.usable
-        ]
+        forward = [c for c in scan.candidates[k + 1 : k + 1 + window] if np.isfinite(c.xi_hat)]
         if not forward:
             continue
         score = 0.0

@@ -135,6 +135,24 @@ class TestSimulateAndGeom:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, refusal", [
+        ("--lambda-above", "1e300", "lambda_above_per_mm3 * specimen_volume_mm3 = 2e+302 "
+         "expected pores is above 9.223e+18, the largest Poisson mean numpy draws from"),
+        ("--bulk-log-sigma", "100", "bulk drew a diameter of "),
+        ("--xi", "40", "tail drew a diameter of "),
+    ], ids=["count", "bulk", "tail"])
+    def test_truth_whose_draws_cannot_be_held_is_refused_by_name(self, tmp_path, capsys, flag,
+                                                                 value, refusal):
+        # these used to end in numpy's "lam value too large", a refusal naming
+        # the volume of a bulk pore that underflowed to 0, and math.pow's
+        # OverflowError on a tail pore's volume
+        out = tmp_path / "pores.csv"
+        code = main(["simulate", *TRUTH_FLAGS, flag, value, "--seed", "5",
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"poretail: usage error: {refusal}")
+        assert not out.exists()
+
     def test_geom_missing_column_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("pore_id,volume_um3\np1,5.0\n")
@@ -256,6 +274,16 @@ class TestFit:
                      "--scanned-volume", "10", "--out-dir", str(tmp_path / "o"),
                      "--threshold-mode", "manual", "--threshold", "3.0"])
         assert code == 3
+
+    def test_table_without_pores_is_statistical_error(self, tmp_path, capsys):
+        table = tmp_path / "empty.csv"
+        table.write_text("pore_id,volume_um3,surface_area_um2,min_feret_um,max_feret_um\n")
+        code = main(["fit", "--input", str(table), "--specimen-id", "E",
+                     "--scanned-volume", "10", "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "poretail: statistical precondition failed: dataset has no pores; nothing to fit\n"
+        )
 
     def test_config_hash_covers_every_resolved_option(self, workspace, tmp_path):
         def config_hash(tag, *flags):
@@ -965,6 +993,77 @@ class TestConfigFile:
         assert code == 1
 
 
+def text_reader(kind, workspace, tmp_path):
+    """A copy of a file of the workspace's that a command reads ("fit" a fit
+    report, "summary" a prediction summary, "config" an INI), its text, and
+    the argv of the command reading it with its outputs in a new directory."""
+    run = workspace / "run"
+    if kind == "summary":
+        (tmp_path / "pred_cdf.csv").write_bytes((run / "pred_cdf.csv").read_bytes())
+    target, text = {
+        "fit": (tmp_path / "syn_fit.txt", (run / "syn_fit.txt").read_bytes()),
+        "summary": (tmp_path / "pred_summary.txt", (run / "pred_summary.txt").read_bytes()),
+        "config": (tmp_path / "mc.ini", b"[mc]\nbins = 256\n"),
+    }[kind]
+
+    def argv(out):
+        out.mkdir()
+        predict = ["predict", "--volume", "10", "--mode", "none", "--out-dir", str(out)]
+        return {
+            "fit": [*predict, "--fit", str(target)],
+            "summary": ["compare", "--prediction", str(tmp_path / "pred"), "--observed", "41.3",
+                        "--output", str(out / "eq.csv")],
+            "config": [*predict, "--config", str(target), "--fit", str(run / "syn_fit.txt")],
+        }[kind]
+
+    return target, text, argv
+
+
+class TestReportAndConfigText:
+    """Reports, summaries and configs are decoded as pore tables are."""
+
+    @pytest.mark.parametrize("kind", ["fit", "summary", "config"])
+    def test_byte_order_mark_is_stripped(self, workspace, tmp_path, capsys, kind):
+        # a marked report or summary used to be "not a poretail-fit/1 report",
+        # and a marked config "line 1: '\ufeff[mc]' comes before any [section]"
+        target, text, argv = text_reader(kind, workspace, tmp_path)
+        outputs = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            target.write_bytes(mark + text)
+            assert main(argv(tmp_path / name)) == 0, capsys.readouterr().err
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kind", ["fit", "summary"])
+    def test_report_that_is_not_utf8_is_data_error(self, workspace, tmp_path, capsys, kind):
+        # this used to end in a UnicodeDecodeError traceback
+        target, text, argv = text_reader(kind, workspace, tmp_path)
+        first_line = text.split(b"\n")[0] + b"\n"
+        target.write_bytes(first_line + b"\xff\xfe bad\n")
+        assert main(argv(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"poretail: data error: {target}: byte {len(first_line)}: "
+            "not UTF-8 text (invalid start byte)\n"
+        )
+
+    @pytest.mark.parametrize("kind, line", [
+        ("fit", "fit_id = OTHER"),  # was read as the fit's id
+        ("fit", "threshold_um = 30"),  # was refused as exceedances below the threshold
+        ("summary", "volume_mm3 = 5"),  # was read as the prediction's volume
+    ])
+    def test_repeated_report_key_is_data_error(self, workspace, tmp_path, capsys, kind, line):
+        target, text, argv = text_reader(kind, workspace, tmp_path)
+        target.write_bytes(text + line.encode() + b"\n")
+        key = line.split(" = ")[0]
+        lines = text.decode().splitlines()
+        first = next(n for n, entry in enumerate(lines, start=1) if entry.startswith(f"{key} = "))
+        assert main(argv(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"poretail: data error: {target}: line {len(lines) + 1}: {key} is repeated "
+            f"(first on line {first})\n"
+        )
+
+
 class TestReportRoundTrips:
     def test_fit_report_round_trip(self, tmp_path):
         fit = data_fit(shape=-0.2, n_exceed=123)
@@ -1112,8 +1211,15 @@ class TestExitCodes:
     lambda: poretail.reports._keyvalue_text([("fit_id", " S")]),
     lambda: poretail.q_value(
         poretail.LargestPoreDistribution(np.array([1.0, 2.0]), np.array([0.0, 1.0])), math.nan),
+    lambda: poretail.equiv_diameter(0.0),
+    lambda: poretail.aspect_ratio(2.0, 1.0),
+    lambda: poretail.sphericity(1.0, -1.0),
+    lambda: poretail.geometry.sphere_surface_area(math.nan),
+    lambda: poretail.GroundTruth(poretail.GpdParams(20.0, 3.0, 0.1), 1e300, 1.0, 200.0,
+                                 poretail.BulkModel(2.0, 0.5)),
 ], ids=["volume", "bins", "mode", "threshold", "volumes", "window", "candidate", "scale",
-        "rate", "log-sigma", "report-value", "observation"])
+        "rate", "log-sigma", "report-value", "observation", "equiv-diameter", "aspect-ratio",
+        "sphericity", "sphere-surface-area", "expected-count"])
 def test_library_refusals_are_usage_errors(refusal):
     # main maps UsageError to exit 1; any other ValueError surfaces
     with pytest.raises(poretail.UsageError):

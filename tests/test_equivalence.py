@@ -190,20 +190,6 @@ def test_mode_comparison_overrides_the_config_mode(basic_fit):
     assert rows[0][0][1] > 0.0 and rows[0][0][2] > 0.0
 
 
-def test_ks_matrix_export_columns(tmp_path, basic_fit):
-    import io
-
-    from poretail.equivalence import KS_MATRIX_COLUMNS
-    from poretail.reports import write_table
-
-    rows = [(25.0, 0.05, 0.2), (100.0, 0.02, 0.3)]
-    out = io.StringIO()
-    write_table(out, dict(zip(KS_MATRIX_COLUMNS, zip(*rows))))
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "volume_mm3,ks_poisson_vs_none,ks_all_vs_none"
-    assert len(lines) == 3
-
-
 def test_mode_comparison_rows(basic_fit):
     rows = mode_comparison_table(basic_fit, [25.0, 100.0], McConfig(seed=2))
     assert len(rows) == 2

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from poretail.geometry import (
     CENTROID_COLUMNS,
     FLAG_SPHERICITY_ABOVE_UNITY,
-    GeometryError,
     IngestError,
     REQUIRED_COLUMNS,
     SpecimenDataset,
@@ -22,6 +21,7 @@ from poretail.geometry import (
     sphericity,
 )
 from poretail.geometry import _csv_columns, _table_columns
+from poretail.gpd import UsageError
 from poretail.reports import write_table
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
@@ -40,7 +40,7 @@ class TestEquivDiameter:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -15.625])
     def test_nonpositive_rejected(self, bad):
-        with pytest.raises(GeometryError):
+        with pytest.raises(UsageError):
             equiv_diameter(bad)
 
     @given(volume=positive_floats)
@@ -62,12 +62,12 @@ class TestAspectRatio:
         assert aspect_ratio(5.0, 20.0) == 0.25
 
     def test_ordering_violation(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(UsageError):
             aspect_ratio(20.0, 5.0)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
     def test_nonpositive_rejected(self, a, b):
-        with pytest.raises(GeometryError):
+        with pytest.raises(UsageError):
             aspect_ratio(a, b)
 
 
@@ -88,7 +88,7 @@ class TestSphericity:
 
     @pytest.mark.parametrize("v,a", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_nonpositive_rejected(self, v, a):
-        with pytest.raises(GeometryError):
+        with pytest.raises(UsageError):
             sphericity(v, a)
 
     @given(
@@ -171,7 +171,7 @@ class TestIngest:
             "p1,15.625,30.0,2.5,5.0,1.0,2.0,3.0\n"
         )
         ds = make_dataset(text)
-        assert ds.centroid_um.tolist() == [[1.0, 2.0, 3.0]]
+        assert [list(ds.cells[c]) for c in CENTROID_COLUMNS] == [["1.0"], ["2.0"], ["3.0"]]
 
     def test_provenance_comments_skipped(self):
         ds = make_dataset("# seed=5\n# config_sha256=abc\n" + WELL_FORMED)
@@ -237,10 +237,9 @@ class TestIngest:
         )
         ds = make_dataset(text)
         assert list(ds.cells["pore_id"]) == ["p2", "p3", "p1"]
-        for column in CENTROID_COLUMNS:
-            assert list(ds.cells[column][:2]) == ["", ""]
-        assert np.isnan(ds.centroid_um[:2]).all()
-        assert ds.centroid_um[2].tolist() == [1.0, 2.0, 3.0]
+        assert [list(ds.cells[c]) for c in CENTROID_COLUMNS] == [
+            ["", "", "1.0"], ["", "", "2.0"], ["", "", "3.0"]
+        ]
         lines = _dump_text(ds).splitlines()
         assert lines[1].startswith("p2,4188.79,1256.64,18.0,22.0,,,,")
         assert lines[2].startswith("p3,20.5,36.1,2.5,4.0,,,,")
@@ -403,11 +402,11 @@ class TestArrayMetrics:
     ])
     @pytest.mark.parametrize("entry", [0.0, -1.0, math.nan])
     def test_array_with_one_nonpositive_entry_refused(self, call, entry):
-        with pytest.raises(GeometryError):
+        with pytest.raises(UsageError):
             call(np.array([1.0, entry, 1.5]))
 
     def test_array_ordering_violation_refused(self):
-        with pytest.raises(GeometryError, match="exceeds"):
+        with pytest.raises(UsageError, match="exceeds"):
             aspect_ratio(np.array([1.0, 3.0]), np.array([2.0, 2.0]))
 
 

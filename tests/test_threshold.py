@@ -8,7 +8,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import genpareto
 
 from poretail.extremes import fit_tail
-from poretail.gpd import FitError, GpdParams, TailFit, mle_covariance
+from poretail.gpd import FitError, GpdParams, TailFit, mle_covariance, select_estimator
 from poretail.threshold import (
     SCAN_COLUMNS,
     CandidateDiagnostics,
@@ -130,6 +130,11 @@ def test_prefix_split_matches_the_masks(levels, picks, order):
         assert fit.empirical_below_um.tobytes() == np.sort(d[d <= mu]).tobytes()
 
 
+def test_empty_dataset_has_no_candidate_grid():
+    with pytest.raises(FitError, match="^dataset has no pores; nothing to fit$"):
+        default_candidate_grid(np.empty(0))
+
+
 @pytest.mark.parametrize("scan", [mean_excess_curve, stability_scan, default_candidate_grid])
 def test_nonfinite_array_diameter_refused(scan):
     # the masks used to skip a NaN; sorted, it would lead every tail
@@ -220,10 +225,26 @@ class TestStabilityScan:
         scan = stability_scan(x, np.quantile(x, [0.3, 0.5, 0.7]))
         assert all(np.isfinite(c.stability_score) for c in scan.candidates[:-1])
         last = scan.candidates[-1]
-        assert last.usable and np.isnan(last.stability_score) and not last.passes
+        assert np.isfinite(last.xi_hat) and np.isnan(last.stability_score) and not last.passes
         lone = stability_scan(x, [np.quantile(x, 0.5)])
         with pytest.raises(ThresholdSelectionError, match="no candidate threshold passed"):
             select_threshold(lone)
+
+    def test_failed_fit_leaves_nan_estimates_and_no_score(self):
+        # the top candidate keeps a tail of identical diameters, which no fit
+        # accepts; with a window of 1 the candidate below it has no fitted
+        # candidate to compare with, and the one below that has
+        x = np.concatenate([gpd_sample(0.1, 3000, 13), np.full(40, 1000.0)])
+        top = 500.0
+        with pytest.raises(FitError, match="non-zero variance"):
+            select_estimator(x[x > top], top)
+        scan = stability_scan(x, [*np.quantile(x[:3000], [0.3, 0.5]), top], window=1)
+        lowest, middle, failed = scan.candidates
+        assert np.isnan([failed.sigma_hat_um, failed.xi_hat, failed.stability_score]).all()
+        assert not failed.passes
+        assert np.isfinite(middle.xi_hat) and np.isnan(middle.stability_score)
+        assert not middle.passes
+        assert np.isfinite(lowest.stability_score)
 
     def test_repeated_candidates_scanned_once(self):
         x = gpd_sample(0.1, 3000, 13)
@@ -242,8 +263,7 @@ class TestSelectThreshold:
     def scan_with_passes(self, passes):
         candidates = [
             CandidateDiagnostics(threshold_um=float(i), n_exceed=100,
-                                 stability_score=0.1 if p else 5.0,
-                                 usable=True, passes=p)
+                                 stability_score=0.1 if p else 5.0, passes=p)
             for i, p in enumerate(passes)
         ]
         return ThresholdScan(candidates=candidates)
