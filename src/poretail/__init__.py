@@ -6,7 +6,7 @@ Gauss-Hermite rule) into the distribution of the largest pore in a volume
 of interest, and quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.4.7"
+__version__ = "0.4.8"
 
 from .geometry import (
     IngestError,
@@ -43,6 +43,7 @@ from .threshold import (
 from .extremes import (
     CovarianceUnavailableError,
     LargestPoreDistribution,
+    LargestPoreLaw,
     McConfig,
     VolumeOfInterest,
     fit_tail,

@@ -121,6 +121,11 @@ class EquivalenceReport:
     radial_distance_mm: float | None = None
 
 
+def _check_finite(name: str, values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{name} = {tuple(values)} is not finite")
+
+
 def build_report(
     dist: LargestPoreDistribution,
     observed_um: float,
@@ -130,7 +135,13 @@ def build_report(
     part_position_mm: tuple[float, float] | None = None,
     plate_center_mm: tuple[float, float] | None = None,
 ) -> EquivalenceReport:
-    """Score one observation against a distribution, with optional distances."""
+    """Score one observation against a distribution, with optional distances.
+    A position or plate center that is not finite is refused by name."""
+    for name, point in (("coupon_position_mm", coupon_position_mm),
+                        ("part_position_mm", part_position_mm),
+                        ("plate_center_mm", plate_center_mm)):
+        if point is not None:
+            _check_finite(name, point)
     cartesian = radial = None
     if coupon_position_mm is not None and part_position_mm is not None:
         cartesian, radial = plate_distances(
@@ -151,7 +162,9 @@ def build_report(
 def plate_center_from_extents(
     x_min_mm: float, y_min_mm: float, x_max_mm: float, y_max_mm: float
 ) -> tuple[float, float]:
-    """Geometric center of the declared build-plate extents."""
+    """Geometric center of the declared build-plate extents, which must be finite."""
+    extents = (x_min_mm, y_min_mm, x_max_mm, y_max_mm)
+    _check_finite("plate extents (x_min, y_min, x_max, y_max)", extents)
     return (0.5 * (x_min_mm + x_max_mm), 0.5 * (y_min_mm + y_max_mm))
 
 

@@ -1,21 +1,23 @@
 """Largest-pore estimation in a volume of interest.
 
 Closed-form largest-pore CDF for a known exceedance count, the
-Poisson exceedance-rate model, and the engine that propagates count and
-parameter uncertainty into the distribution of the largest equivalent
-diameter. The exceedance rate is Gamma with the estimate's mean and
-standard error, so the count is negative binomial; the count and the
-uniform-probability axis have closed forms, so the engine evaluates the
-largest-pore CDF exactly at the histogram edges and integrates it over
-(scale, shape) with a tensor Gauss-Hermite rule on the fit's bivariate
-normal, doubling the nodes until two rules agree; their difference is
-reported as the CDF's precision. Each diameter's sum over the nodes is
-one reduction, so the result does not depend on the size of its block.
+Poisson exceedance-rate model, and LargestPoreLaw, the distribution of
+the largest equivalent diameter with count and parameter uncertainty.
+The exceedance rate is Gamma with the estimate's mean and standard
+error, so the count is negative binomial; the count and the
+uniform-probability axis have closed forms, so the law's CDF is exact at
+any diameter up to the integral over (scale, shape), taken with a tensor
+Gauss-Hermite rule on the fit's bivariate normal whose nodes double until
+two rules agree there; their difference is reported as the precision.
+sample_largest is the law tabulated on histogram edges. Each diameter's
+sum over the nodes is one reduction, so no result depends on the size
+of its block.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -60,6 +62,8 @@ _SUMMARY_FIELDS = (
 # Elements per block of diameters x (scale, shape) nodes: bounds the engine's
 # temporaries at about 512 kB each.
 _CHUNK_ELEMENTS = 1 << 16
+# What LargestPoreLaw.cdf returns.
+LargestPoreCdf = namedtuple("LargestPoreCdf", "values precision nodes_per_axis n_nodes")
 
 FLAG_EMPTY_FALLBACK = "zero exceedance count possible with empty sub-threshold record"
 FLAG_DEGENERATE_RANGE = "degenerate histogram range: CDF at its target at the lowest edge or nowhere"
@@ -73,6 +77,16 @@ class CovarianceUnavailableError(RuntimeError):
     """Full uncertainty propagation requested but the fit has no covariance."""
 
 
+def _check_volume(volume_mm3: float) -> None:
+    if not 0 < volume_mm3 < np.inf:
+        raise UsageError(f"volume_mm3 must be finite and positive, got {volume_mm3}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in UNCERTAINTY_MODES:
+        raise UsageError(f"uncertainty_mode must be one of {UNCERTAINTY_MODES}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class VolumeOfInterest:
     """Volume (mm^3, finite and positive) the largest-pore distribution is
@@ -81,8 +95,7 @@ class VolumeOfInterest:
     volume_mm3: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.volume_mm3 < np.inf:
-            raise UsageError(f"volume_mm3 must be finite and positive, got {self.volume_mm3}")
+        _check_volume(self.volume_mm3)
 
 
 @dataclass(frozen=True)
@@ -109,11 +122,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.histogram_bins < 16:
             raise UsageError("histogram_bins must be >= 16")
-        if self.uncertainty_mode not in UNCERTAINTY_MODES:
-            raise UsageError(
-                f"uncertainty_mode must be one of {UNCERTAINTY_MODES}, "
-                f"got {self.uncertainty_mode!r}"
-            )
+        _check_mode(self.uncertainty_mode)
 
 
 def fit_tail(
@@ -292,28 +301,6 @@ class LargestPoreDistribution:
         return {name: getattr(self, name) for name in _SUMMARY_FIELDS}
 
 
-def _param_rule(fit: TailFit, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scale, shape, weight) nodes of an n x n Gauss-Hermite rule on the
-    fit's bivariate normal, mapped through the Cholesky factor of its
-    covariance. Nodes with a non-positive scale are dropped and the kept
-    weights renormalised to sum to 1.
-    """
-    from numpy.polynomial.hermite_e import hermegauss
-
-    if fit.covariance is None:
-        raise CovarianceUnavailableError(
-            "fit covariance unavailable (estimate outside asymptotic-normality "
-            "domain); full uncertainty propagation refuses to run"
-        )
-    z, w = hermegauss(n)
-    grid = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
-    mean = np.array([fit.params.scale_um, fit.params.shape])
-    nodes = mean + grid @ np.linalg.cholesky(fit.covariance).T
-    keep = nodes[:, 0] > 0.0
-    weights = np.outer(w, w).ravel()[keep]
-    return nodes[keep, 0].copy(), nodes[keep, 1].copy(), weights / weights.sum()
-
-
 def _laplace_rate(a, lam: float, se: float) -> np.ndarray:
     """E[exp(-a R)] for a Gamma rate R with mean lam and standard error se,
     a >= 0 and lam > 0 (or lam = se = 0).
@@ -329,55 +316,112 @@ def _laplace_rate(a, lam: float, se: float) -> np.ndarray:
     return np.exp(-(lam / se) ** 2 * np.log1p(a * (se * se / lam)))
 
 
-class _LargestCdf:
+class LargestPoreLaw:
     """P(largest pore in the volume <= d), exact over count and probability.
 
     Above the threshold u, with S the tail survival function and R the
-    Gamma rate, P(max <= d | scale, shape) = E exp(-R V S(d)), given in
-    closed form by _laplace_rate (no tail pore, N = 0, included),
-    and the CDF is its weighted mean over the (scale, shape) nodes: the
-    point estimate, or in mode "all" the n x n rule of _param_rule,
-    n = nodes_per_axis. Below u only volumes without tail pores contribute,
+    Gamma rate, P(max <= d | scale, shape) = E exp(-R V S(d)), in closed
+    form by _laplace_rate (no tail pore, N = 0, included), averaged over the
+    (scale, shape) nodes: the point estimate, or in mode "all" an n x n
+    Gauss-Hermite rule. Below u only volumes without tail pores contribute,
     their largest pore being the largest of a Poisson(lam_b V) resample of
     the sub-threshold record: P(N = 0) exp(-lam_b V (1 - F_emp(d))).
     Mode "none" pins the count at lam V instead, giving F(d) ** (lam V), or,
     when lam V = 0, the pinned sub-threshold fallback F_emp(d) ** (lam_b V).
     An empty sub-threshold record counts as F_emp = 1 (no pore at all).
+    Rates, record, P(N = 0) and start rule are computed once; construction
+    refuses a fit without rates and a mode or volume outside its domain.
     """
 
-    def __init__(self, fit: TailFit, volume: float, mode: str, nodes_per_axis: int) -> None:
-        self.fit = fit
+    def __init__(self, fit: TailFit, volume_mm3: float, mode: str = "all") -> None:
+        if fit.lambda_above_per_mm3 is None or fit.lambda_below_per_mm3 is None:
+            raise ValueError("fit lacks rate estimates; build it with fit_tail()")
+        _check_mode(mode)
+        _check_volume(volume_mm3)
+        self.fit, self.volume_mm3, self.mode = fit, volume_mm3, mode
         self.threshold = fit.params.threshold_um
-        self.nodes_per_axis = nodes_per_axis
-        if mode == "all":
-            self.sigma, self.xi, self.weights = _param_rule(fit, nodes_per_axis)
-        else:
-            self.sigma = np.array([fit.params.scale_um])
-            self.xi = np.array([fit.params.shape])
-            self.weights = np.ones(1)
-        self.volume = volume
-        self.mode = mode
         self.lam = fit.lambda_above_per_mm3
         self.lam_se = fit.lambda_above_se or 0.0
-        self.lam_below_volume = fit.lambda_below_per_mm3 * volume
+        self.lam_below_volume = fit.lambda_below_per_mm3 * volume_mm3
         emp = fit.empirical_below_um
         self.emp = np.asarray(emp, dtype=float) if emp is not None else np.empty(0)
-        self.pinned_fallback = mode == "none" and self.lam * volume == 0.0
-        if mode == "none":
-            self.p_zero = 0.0
-        else:
-            self.p_zero = float(_laplace_rate(volume, self.lam, self.lam_se)[0])
+        self.pinned_fallback = mode == "none" and self.lam * volume_mm3 == 0.0
+        self.p_zero = 0.0
+        if mode != "none":
+            self.p_zero = float(_laplace_rate(volume_mm3, self.lam, self.lam_se)[0])
+        self._start = self._rule(_START_NODES)
 
-    def __call__(self, d) -> np.ndarray:
+    def cdf(self, d) -> LargestPoreCdf:
+        """(values, precision, nodes_per_axis, n_nodes): the CDF at d. In mode
+        "all" the rule doubles from 8 nodes per axis until two successive
+        rules differ by at most 1e-4 at every d (their difference is the
+        precision), or the finer one has 64; n_nodes counts its kept nodes.
+        The other modes pin the parameters (1 node, precision 0)."""
+        rule, n, values, precision = self._start, 1, self._evaluate(self._start, d), 0.0
+        if self.mode == "all":
+            n = _START_NODES
+            while n < _MAX_NODES:
+                n *= 2
+                rule = self._rule(n)
+                fine = self._evaluate(rule, d)
+                precision, values = float(np.max(np.abs(fine - values))), fine
+                if precision <= _RULE_TOLERANCE:
+                    break
+        values = float(values[0]) if np.ndim(d) == 0 else values
+        return LargestPoreCdf(values, precision, n, rule[0].size)
+
+    def _top_edge(self, lo: float) -> float | None:
+        """Diameter where the start rule's CDF reaches 1 - _UNRESOLVED_MASS,
+        by bisection from [lo, threshold + scale], the bracket doubling its
+        distance from lo. None when the CDF already reaches the target at
+        lo, or no finite diameter does."""
+        target = 1.0 - _UNRESOLVED_MASS
+        if self._evaluate(self._start, lo)[0] >= target:
+            return None
+        below, above = lo, self.threshold + self.fit.params.scale_um
+        while self._evaluate(self._start, above)[0] < target:
+            below, above = above, lo + 2.0 * (above - lo)
+            if not np.isfinite(above):
+                return None
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (below + above)
+            if self._evaluate(self._start, mid)[0] < target:
+                below = mid
+            else:
+                above = mid
+        return above
+
+    def _rule(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(scale, shape, weight) nodes: the point estimate, or in mode "all" the
+        n x n Gauss-Hermite rule on the fit's bivariate normal (through the
+        Cholesky factor of its covariance), less the nodes of non-positive
+        scale, the kept weights renormalised to sum to 1."""
+        mean = np.array([self.fit.params.scale_um, self.fit.params.shape])
+        if self.mode != "all":
+            return mean[:1], mean[1:], np.ones(1)
+        from numpy.polynomial.hermite_e import hermegauss
+
+        if self.fit.covariance is None:
+            raise CovarianceUnavailableError(
+                "fit covariance unavailable (estimate outside asymptotic-normality "
+                "domain); full uncertainty propagation refuses to run"
+            )
+        z, w = hermegauss(n)
+        grid = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+        nodes = mean + grid @ np.linalg.cholesky(self.fit.covariance).T
+        keep = nodes[:, 0] > 0.0
+        weights = np.outer(w, w).ravel()[keep]
+        return nodes[keep, 0].copy(), nodes[keep, 1].copy(), weights / weights.sum()
+
+    def _evaluate(self, rule, d) -> np.ndarray:
         d = np.atleast_1d(np.asarray(d, dtype=float))
         if self.pinned_fallback:
             return self._emp_cdf(d) ** self.lam_below_volume
         out = np.empty(d.shape)
         below = d < self.threshold
-        out[below] = self.p_zero * np.exp(
-            -self.lam_below_volume * (1.0 - self._emp_cdf(d[below]))
-        )
-        out[~below] = self._mean_over_params(d[~below])
+        f_emp = self._emp_cdf(d[below])
+        out[below] = self.p_zero * np.exp(-self.lam_below_volume * (1.0 - f_emp))
+        out[~below] = self._mean_over_params(rule, d[~below])
         return out
 
     def _emp_cdf(self, d: np.ndarray) -> np.ndarray:
@@ -388,57 +432,18 @@ class _LargestCdf:
     def _given_params(self, log_s: np.ndarray) -> np.ndarray:
         if self.mode == "none":
             with np.errstate(divide="ignore"):
-                return np.exp(self.lam * self.volume * np.log1p(-np.exp(log_s)))
-        return _laplace_rate(self.volume * np.exp(log_s), self.lam, self.lam_se)
+                return np.exp(self.lam * self.volume_mm3 * np.log1p(-np.exp(log_s)))
+        return _laplace_rate(self.volume_mm3 * np.exp(log_s), self.lam, self.lam_se)
 
-    def _mean_over_params(self, d: np.ndarray) -> np.ndarray:
-        step = max(1, _CHUNK_ELEMENTS // self.sigma.size)
+    def _mean_over_params(self, rule, d: np.ndarray) -> np.ndarray:
+        sigma, xi, weights = rule
+        step = max(1, _CHUNK_ELEMENTS // sigma.size)
         total = np.empty(d.size)
         for start in range(0, d.size, step):
             block = slice(start, start + step)
-            log_s = _log_survival(self.threshold, self.sigma, self.xi, d[block, None])
-            total[block] = np.add.reduce(self.weights * self._given_params(log_s), axis=1)
+            log_s = _log_survival(self.threshold, sigma, xi, d[block, None])
+            total[block] = np.add.reduce(weights * self._given_params(log_s), axis=1)
         return total
-
-
-def _top_edge(cdf: _LargestCdf, lo: float, start: float) -> float | None:
-    """Diameter where the CDF reaches 1 - _UNRESOLVED_MASS, by bisection.
-
-    The bracket grows from [lo, start] by doubling its distance from lo.
-    None when the CDF already reaches the target at lo, or no finite
-    diameter does.
-    """
-    target = 1.0 - _UNRESOLVED_MASS
-    if cdf(lo)[0] >= target:
-        return None
-    below, above = lo, start
-    while cdf(above)[0] < target:
-        below, above = above, lo + 2.0 * (above - lo)
-        if not np.isfinite(above):
-            return None
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (below + above)
-        if cdf(mid)[0] < target:
-            below = mid
-        else:
-            above = mid
-    return above
-
-
-def _refine(cdf: _LargestCdf, edges: np.ndarray) -> tuple[_LargestCdf, np.ndarray, float]:
-    """Double the rule's nodes per axis until the CDFs of two successive
-    rules differ by at most _RULE_TOLERANCE at the edges and the probe
-    excesses, or the finer rule has _MAX_NODES per axis. Returns the finer
-    rule, its CDF at the edges and that largest difference."""
-    at = np.concatenate([edges, cdf.threshold + (edges[-1] - cdf.threshold) * _PROBE_FRACTIONS])
-    coarse = cdf(at)
-    while True:
-        cdf = _LargestCdf(cdf.fit, cdf.volume, cdf.mode, 2 * cdf.nodes_per_axis)
-        fine = cdf(at)
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap <= _RULE_TOLERANCE or cdf.nodes_per_axis >= _MAX_NODES:
-            return cdf, fine[: edges.size], gap
-        coarse = fine
 
 
 def sample_largest(
@@ -448,70 +453,55 @@ def sample_largest(
     *,
     workers: int = 1,
 ) -> LargestPoreDistribution:
-    """Largest-pore distribution for a volume of interest.
-
-    Exceedance counts are Poisson with a Gamma rate of the estimate's mean
-    and standard error, hence negative binomial; (scale, shape) follow the
-    estimator's asymptotic bivariate normal. Volumes without tail pores fall back to
-    the sub-threshold empirical distribution, and volumes without any pore
-    make up the "no pores" mass at diameter 0. The count and probability
-    axes are integrated exactly at the histogram edges (see _LargestCdf).
-    In mode "all", (scale, shape) is integrated with a tensor Gauss-Hermite
-    rule: the top edge, where the CDF reaches 1 - 1e-5, is found with 8
-    nodes per axis, and at the edges the nodes double while two successive
-    rules differ by more than 1e-4, up to 64 per axis. The finer rule's CDF
-    is reported, their difference as cdf_precision, and a rule still
-    unconverged at the cap is flagged.
+    """LargestPoreLaw tabulated on histogram edges: linear from the threshold
+    (or the smallest sub-threshold pore, where a volume without tail pores
+    can hold one) to where the law's start rule reaches 1 - 1e-5. In mode
+    "all" the law also refines its rule at the probe diameters; its
+    precision is cdf_precision, and a rule unconverged at the cap is flagged.
 
     The result is deterministic and its provenance names the fit, the
     volume, the mode and the bin count. `workers`, the seed and the sample
     counts of `config` are accepted and ignored.
     """
-    if fit.lambda_above_per_mm3 is None or fit.lambda_below_per_mm3 is None:
-        raise ValueError("fit lacks rate estimates; build it with fit_tail()")
     mode = config.uncertainty_mode
-    volume = voi.volume_mm3
-    cdf = _LargestCdf(fit, volume, mode, _START_NODES if mode == "all" else 1)
+    law = LargestPoreLaw(fit, voi.volume_mm3, mode)
     flags: list[str] = []
 
-    lo = fit.params.threshold_um
-    if cdf.emp.size and (mode != "none" or cdf.pinned_fallback):
-        lo = min(lo, float(cdf.emp[0]))
-    hi = _top_edge(cdf, lo, fit.params.threshold_um + fit.params.scale_um)
+    lo = law.threshold
+    if law.emp.size and (mode != "none" or law.pinned_fallback):
+        lo = min(lo, float(law.emp[0]))
+    hi = law._top_edge(lo)
     if hi is None:
         hi = lo + max(abs(lo), 1.0)
         flags.append(FLAG_DEGENERATE_RANGE)
     edges = np.linspace(lo, hi, config.histogram_bins + 1)
 
-    if mode == "all":
-        cdf, at_edges, precision = _refine(cdf, edges)
-        if not precision <= _RULE_TOLERANCE:
-            flags.append(FLAG_RULE_UNCONVERGED)
-    else:
-        at_edges, precision = cdf(edges), 0.0
+    probes = law.threshold + (edges[-1] - law.threshold) * _PROBE_FRACTIONS
+    cdf = law.cdf(np.concatenate([[0.0], edges, probes if mode == "all" else []]))
+    if not cdf.precision <= _RULE_TOLERANCE:
+        flags.append(FLAG_RULE_UNCONVERGED)
 
     # diameters are positive, so the CDF at 0 is the no-pore atom; the
     # lowest edge's own mass goes to the first bin
-    no_pore_mass = float(cdf(0.0)[0])
-    at_edges = np.clip(at_edges, 0.0, 1.0)
+    no_pore_mass = float(cdf.values[0])
+    at_edges = np.clip(cdf.values[1 : edges.size + 1], 0.0, 1.0)
     at_edges[0] = no_pore_mass
     at_edges = np.maximum.accumulate(at_edges)
-    if cdf.emp.size == 0 and no_pore_mass >= _UNRESOLVED_MASS:
+    if law.emp.size == 0 and no_pore_mass >= _UNRESOLVED_MASS:
         flags.append(FLAG_EMPTY_FALLBACK)
         warnings.warn(FLAG_EMPTY_FALLBACK, stacklevel=2)
 
     return LargestPoreDistribution(
-        edges,
-        at_edges,
-        n_samples_total=cdf.sigma.size,
+        edges, at_edges,
+        n_samples_total=cdf.n_nodes,
         provenance={
             "fit_id": fit.fit_id,
-            "volume_mm3": volume,
+            "volume_mm3": voi.volume_mm3,
             "uncertainty_mode": mode,
             "histogram_bins": config.histogram_bins,
         },
         flags=tuple(flags),
-        cdf_precision=precision,
+        cdf_precision=cdf.precision,
         nodes_per_axis=cdf.nodes_per_axis,
     )
 

@@ -99,8 +99,10 @@ def generate_specimen(
     (aspect ratio and sphericity of exactly 1) in shortest round-trip float
     text, so a dump re-ingests to the same values. A drawn diameter whose
     sphere has no finite positive volume is refused, naming the truth field
-    (tail or bulk) that drew it.
+    (tail or bulk) that drew it, and so is a negative seed.
     """
+    if seed < 0:
+        raise UsageError(f"seed = {seed} is not a non-negative integer")
     # imported here so that `import poretail` does not load scipy.stats
     from scipy.stats import genpareto
 

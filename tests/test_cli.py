@@ -153,6 +153,14 @@ class TestSimulateAndGeom:
         assert capsys.readouterr().err.startswith(f"poretail: usage error: {refusal}")
         assert not out.exists()
 
+    def test_negative_seed_is_refused_by_name(self, tmp_path, capsys):
+        # numpy's default_rng refuses it with a traceback
+        out = tmp_path / "pores.csv"
+        assert main(["simulate", *TRUTH_FLAGS, "--seed", "-1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "poretail: usage error: seed = -1 is not a non-negative integer\n")
+        assert not out.exists()
+
     def test_geom_missing_column_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("pore_id,volume_um3\np1,5.0\n")
@@ -735,6 +743,25 @@ class TestCompare:
         assert code == 1
         assert "finite, non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, refusal", [
+        ("--coupon-position", "nan,0", "coupon_position_mm = (nan, 0.0)"),
+        ("--part-position", "1,inf", "part_position_mm = (1.0, inf)"),
+        ("--plate-extents", "0,0,inf,10",
+         "plate extents (x_min, y_min, x_max, y_max) = (0.0, 0.0, inf, 10.0)"),
+    ], ids=["coupon-position", "part-position", "plate-extents"])
+    def test_nonfinite_position_is_refused_by_name(self, workspace, tmp_path, capsys, flag,
+                                                   value, refusal):
+        # these used to write nan distances and exit 0
+        positions = {"--coupon-position": "0,0", "--part-position": "1,1",
+                     "--plate-extents": "0,0,250,250", flag: value}
+        out = tmp_path / "report.csv"
+        code = main(["compare", "--prediction", str(workspace / "run" / "pred"),
+                     "--observed", "41.3", *[x for item in positions.items() for x in item],
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"poretail: usage error: {refusal} is not finite\n"
+        assert not out.exists()
+
     def test_multiple_observations(self, workspace, tmp_path):
         out = tmp_path / "multi.csv"
         code = main(["compare", "--prediction", str(workspace / "run" / "pred"),
@@ -1217,9 +1244,19 @@ class TestExitCodes:
     lambda: poretail.geometry.sphere_surface_area(math.nan),
     lambda: poretail.GroundTruth(poretail.GpdParams(20.0, 3.0, 0.1), 1e300, 1.0, 200.0,
                                  poretail.BulkModel(2.0, 0.5)),
+    lambda: poretail.LargestPoreLaw(synthetic_fit(), 0.0),
+    lambda: poretail.LargestPoreLaw(synthetic_fit(), 1.0, "some"),
+    lambda: poretail.generate_specimen(
+        poretail.GroundTruth(poretail.GpdParams(20.0, 3.0, 0.1), 10.0, 40.0, 1.0,
+                             poretail.BulkModel(2.0, 0.5)), -1),
+    lambda: poretail.build_report(
+        poretail.LargestPoreDistribution(np.array([1.0, 2.0]), np.array([0.0, 1.0])), 1.5,
+        coupon_position_mm=(math.nan, 0.0), part_position_mm=(1.0, 1.0)),
+    lambda: poretail.plate_center_from_extents(0.0, 0.0, math.inf, 10.0),
 ], ids=["volume", "bins", "mode", "threshold", "volumes", "window", "candidate", "scale",
         "rate", "log-sigma", "report-value", "observation", "equiv-diameter", "aspect-ratio",
-        "sphericity", "sphere-surface-area", "expected-count"])
+        "sphericity", "sphere-surface-area", "expected-count", "law-volume", "law-mode", "seed",
+        "position", "plate-extents"])
 def test_library_refusals_are_usage_errors(refusal):
     # main maps UsageError to exit 1; any other ValueError surfaces
     with pytest.raises(poretail.UsageError):

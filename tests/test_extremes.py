@@ -10,6 +10,7 @@ from poretail.equivalence import ks_statistic
 from poretail.extremes import (
     CovarianceUnavailableError,
     LargestPoreDistribution,
+    LargestPoreLaw,
     McConfig,
     VolumeOfInterest,
     fit_tail,
@@ -172,25 +173,25 @@ class TestSampleLargest:
         assert ref.no_pore_mass == small.no_pore_mass
         assert ref.overflow_mass == small.overflow_mass
 
-    def test_stores_the_engine_edge_cdf(self, basic_fit, monkeypatch):
-        # the CDF is kept as computed; rebuilding it from its differences
-        # rounds wherever it more than doubles between edges
-        computed = []
-        original = extremes._LargestCdf.__call__
-
-        def spy(self, d):
-            out = original(self, d)
-            computed.append((np.atleast_1d(d), out))
-            return out
-
-        monkeypatch.setattr(extremes._LargestCdf, "__call__", spy)
-        cfg = McConfig(seed=3, uncertainty_mode="none")
-        dist = sample_largest(basic_fit, VolumeOfInterest(100.0), cfg)
-        at_edges = next(out for d, out in computed if np.array_equal(d, dist.bin_edges_um))
-        expected = np.clip(at_edges, 0.0, 1.0)
-        expected[0] = dist.no_pore_mass
-        expected = np.maximum.accumulate(expected)
-        assert dist.cdf_at_edges.tobytes() == expected.tobytes()
+    def test_stores_the_engine_edge_cdf(self, basic_fit):
+        # the table is the law at its edges (refined at the probe diameters
+        # too in mode all), kept as computed; rebuilding it from its
+        # differences rounds wherever it more than doubles between edges
+        threshold = basic_fit.params.threshold_um
+        for mode in extremes.UNCERTAINTY_MODES:
+            dist = sample_largest(basic_fit, VolumeOfInterest(100.0),
+                                  McConfig(uncertainty_mode=mode))
+            at = edges = dist.bin_edges_um
+            if mode == "all":
+                probes = threshold + (edges[-1] - threshold) * extremes._PROBE_FRACTIONS
+                at = np.concatenate([edges, probes])
+            cdf = LargestPoreLaw(basic_fit, 100.0, mode).cdf(at)
+            expected = np.clip(cdf.values[: edges.size], 0.0, 1.0)
+            expected[0] = dist.no_pore_mass
+            expected = np.maximum.accumulate(expected)
+            assert dist.cdf_at_edges.tobytes() == expected.tobytes()
+            assert (cdf.precision, cdf.nodes_per_axis, cdf.n_nodes) == (
+                dist.cdf_precision, dist.nodes_per_axis, dist.n_samples_total)
 
     def test_deterministic_given_seed(self, basic_fit):
         cfg = McConfig(seed=13, n_count_samples=40, n_param_samples=10,
@@ -478,13 +479,42 @@ def test_node_sum_matches_fsum():
     # each diameter's mean over the 64 x 64 rule is one pairwise reduction;
     # against the correctly rounded sum of the same weighted node values
     fit = synthetic_fit(lam_above=10.0, n_exceed=2000)
-    cdf = extremes._LargestCdf(fit, 100.0, "all", 64)
+    law = LargestPoreLaw(fit, 100.0, "all")
+    sigma, xi, weights = rule = law._rule(64)
     d = np.array([42.0, 50.0, 58.0, 70.0, 90.0])
-    log_s = _log_survival(fit.params.threshold_um, cdf.sigma, cdf.xi, d[:, None])
-    terms = cdf.weights * cdf._given_params(log_s)
+    log_s = _log_survival(fit.params.threshold_um, sigma, xi, d[:, None])
+    terms = weights * law._given_params(log_s)
     exact = np.array([math.fsum(row) for row in terms])
     assert 0.01 < exact.min() and exact.max() < 0.99
-    assert np.max(np.abs(cdf._mean_over_params(d) - exact)) <= 1e-15
+    assert np.max(np.abs(law._mean_over_params(rule, d) - exact)) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    scale=st.floats(1.0, 5.0),
+    shape=st.floats(-0.3, 0.9),
+    lam_above=st.floats(0.1, 20.0),
+    log_volume=st.floats(-1.0, 3.0),
+    where=st.floats(0.0, 1.0),
+    mode=st.sampled_from(extremes.UNCERTAINTY_MODES),
+)
+def test_law_lies_within_its_tables_bin(scale, shape, lam_above, log_volume, where, mode):
+    # the law is nondecreasing, so inside a bin it lies between the table's
+    # values at the bin's edges, as the table's interpolation does; in mode
+    # all each may use its own rule, so both precisions widen the bound.
+    # 1e-15 absorbs the rounding of the interpolation and of the node sums
+    fit = synthetic_fit(scale=scale, shape=shape, lam_above=lam_above, n_exceed=200)
+    volume = 10.0**log_volume
+    cfg = McConfig(histogram_bins=64, uncertainty_mode=mode)
+    dist = sample_largest(fit, VolumeOfInterest(volume), cfg)
+    edges, table = dist.bin_edges_um, dist.cdf_at_edges
+    d = edges[0] + where * (edges[-1] - edges[0])
+    j = int(np.clip(np.searchsorted(edges, d), 1, edges.size - 1))
+    law = LargestPoreLaw(fit, volume, mode).cdf(d)
+    bound = table[j] - table[j - 1] + 1e-15
+    if mode == "all":
+        bound += law.precision + dist.cdf_precision
+    assert abs(law.values - dist.cdf(d)) <= bound
 
 
 # 99.9% Dvoretzky-Kiefer-Wolfowitz band of the brute-force oracle
