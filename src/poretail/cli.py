@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -472,8 +473,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # the library's own notices are UserWarnings; any other category (a
+    # numpy RuntimeWarning, say) points at a fault and keeps its name
+    kind = "" if category is UserWarning else f"{category.__name__}: "
+    return f"poretail: warning: {kind}{message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    # a warning reads like the other messages, without the library's path;
+    # only its printing changes, so a caller's capture of warnings still works
+    library_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args = parser.parse_args(argv)
         args.resolved = _resolve(args)
@@ -492,6 +503,8 @@ def main(argv=None) -> int:
             raise
         print(f"poretail: usage error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = library_format
 
 
 if __name__ == "__main__":

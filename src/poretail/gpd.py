@@ -258,13 +258,13 @@ def _profile_nll(w: float, ratio: np.ndarray) -> float:
     return ratio.size * (math.log(scale) + shape + 1.0)
 
 
-# the bisected bracket ends lie within _BRACKET_TOL of where the profile
-# shape crosses its bound; the golden-section search stops as scipy's
-# bounded search (xatol 1e-10) does
+# the bracket ends lie within _BRACKET_TOL of where the profile shape
+# crosses its bound; the minimiser stops as scipy's bounded search
+# (xatol 1e-10) does
 _BRACKET_TOL = 1e-2
 _SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 _XATOL = 1e-10
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # Builds of numpy that round the profile differently may end the search a
 # few stopping widths apart; a fitted number reads back within a thousand.
 REFIT_RTOL, REFIT_ATOL = 1e3 * _SQRT_EPS, 1e3 * _XATOL
@@ -273,38 +273,76 @@ REFIT_RTOL, REFIT_ATOL = 1e3 * _SQRT_EPS, 1e3 * _XATOL
 def _bracket_end(gap, w_far: float) -> float:
     """End of the search bracket from w = 0 towards w_far: w_far if gap has
     one sign there and at 0, else a point within _BRACKET_TOL of gap's root
-    on 0's side of it, found by bisection."""
-    sign0 = math.copysign(1.0, gap(0.0))
-    if gap(w_far) * sign0 > 0.0:
+    on 0's side of it, found by regula falsi with the Illinois halving: the
+    value at an end kept twice running is halved. The midpoint stands in
+    for a secant point outside the bracket, and for any point once two
+    steps have not halved the bracket, so the search takes at most about
+    twice bisection's steps; no point lies within half the tolerance of an
+    end, so that both ends close in."""
+    near, far, g_near, g_far = 0.0, w_far, gap(0.0), gap(w_far)
+    sign0 = math.copysign(1.0, g_near)
+    if g_far * sign0 > 0.0:
         return w_far
-    near, far = 0.0, w_far
-    while abs(far - near) > _BRACKET_TOL:
-        mid = 0.5 * (near + far)
-        if gap(mid) * sign0 > 0.0:
-            near = mid
+    kept, widths = "", [math.inf, math.inf, abs(far - near)]
+    while widths[-1] > _BRACKET_TOL:
+        t = g_near / (g_near - g_far)
+        if not 0.0 <= t <= 1.0 or widths[-1] > 0.5 * widths[-3]:
+            t = 0.5
+        margin = 0.5 * _BRACKET_TOL / abs(far - near)
+        w = near + min(max(t, margin), 1.0 - margin) * (far - near)
+        g = gap(w)
+        if g * sign0 > 0.0:
+            near, g_near = w, g
+            g_far *= 0.5 if kept == "far" else 1.0
+            kept = "far"
         else:
-            far = mid
+            far, g_far = w, g
+            g_near *= 0.5 if kept == "near" else 1.0
+            kept = "near"
+        widths.append(abs(far - near))
     return near
 
 
-def _golden(f, a: float, b: float) -> tuple[float, float]:
-    """(x, f(x)) at a minimum of a unimodal f on [a, b] by golden-section
-    search (Kiefer 1953), until the bracket is at most
-    4 (sqrt(eps) |x| + 1e-10 / 3) wide."""
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 4.0 * (_SQRT_EPS * abs(c if fc <= fd else d) + _XATOL / 3.0):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+def _minimise(f, a: float, b: float) -> tuple[float, float]:
+    """(x, f(x)) at a minimum of a unimodal f on [a, b] by Brent's method
+    (1973, ch. 5): the vertex of the parabola through the three best points
+    when it lies in the bracket and the step is under half the one before
+    last, else a golden-section step into the larger side; no step is
+    shorter than tol = sqrt(eps) |x| + 1e-10 / 3. It ends when both bracket
+    ends lie within 2 tol of x, so the bracket is at most 4 tol wide."""
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    step = last = 0.0
+    while True:
+        mid, tol = 0.5 * (a + b), _SQRT_EPS * abs(x) + _XATOL / 3.0
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(last) > tol:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            before_last, last = last, step
+            if abs(p) < abs(0.5 * q * before_last) and q * (a - x) < p < q * (b - x):
+                step, golden = p / q, False
+                if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
+                    step = math.copysign(tol, mid - x)
+        if golden:
+            last = (a if x >= mid else b) - x
+            step = _GOLDEN * last
+        u = x + math.copysign(max(abs(step), tol), step)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x, fx = (c, fc) if fc <= fd else (d, fd)
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
     if math.isnan(fx):
-        raise FitError("golden-section search met a NaN objective")
+        raise FitError("the likelihood search met a NaN objective")
     return x, fx
 
 
@@ -318,10 +356,11 @@ def fit_mle(
 
     The likelihood is maximized as a profile over theta = shape/scale
     (Grimshaw 1993): for fixed theta the shape MLE is mean log1p(theta y),
-    scale = shape/theta, and theta = 0 is the exponential limit. Bisection
-    brackets theta where that shape lies in (-1, 20), and a golden-section
-    search minimises the profile's closed-form negative log-likelihood on
-    the bracket; if the likelihood rises towards shape -1, the fit is the
+    scale = shape/theta, and theta = 0 is the exponential limit. Regula
+    falsi (Illinois) brackets theta where that shape lies in (-1, 20), and
+    Brent's bounded minimiser finds the least of the profile's closed-form
+    negative log-likelihood on the bracket, to scipy's bounded-search
+    tolerance; if the likelihood rises towards shape -1, the fit is the
     uniform limit (scale = max y, shape = -1). Covariance is attached only
     when the fitted shape exceeds -0.5; otherwise the fit is flagged and
     covariance is None.
@@ -337,7 +376,7 @@ def fit_mle(
     # and w = 700, which keeps it finite.
     lo = _bracket_end(lambda w: _profile(w, ratio)[1] + 1.0, float(np.log(np.finfo(float).eps)))
     hi = _bracket_end(lambda w: _profile(w, ratio)[1] - 20.0, 700.0)
-    best_w, best_nll = _golden(lambda w: _profile_nll(w, ratio), lo, hi)
+    best_w, best_nll = _minimise(lambda w: _profile_nll(w, ratio), lo, hi)
     scale, shape = _profile(best_w, ratio)
     # at shape = -1 the tail is uniform, most likely just above the largest excess
     edge = (float(np.nextafter(1.0, 2.0)), -1.0)

@@ -29,6 +29,10 @@ from .gpd import GpdParams, TailFit, UsageError
 _CHUNK_PORE_DRAWS = 4_000_000
 # numpy's largest Poisson mean: it refuses to draw from any above it.
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+# The most pores a drawn specimen may expect. generate_specimen holds about 0.75 kB
+# per pore (its cells are text) and writes about 110 bytes per pore, so this
+# many take about 7.5 GB to draw and 1.1 GB to write.
+MAX_EXPECTED_PORES = 1e7
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,18 @@ def generate_specimen(
     (aspect ratio and sphericity of exactly 1) in shortest round-trip float
     text, so a dump re-ingests to the same values. A drawn diameter whose
     sphere has no finite positive volume is refused, naming the truth field
-    (tail or bulk) that drew it, and so is a negative seed.
+    (tail or bulk) that drew it, and so are a negative seed and a truth that
+    expects more than MAX_EXPECTED_PORES pores, before any draw.
     """
     if seed < 0:
         raise UsageError(f"seed = {seed} is not a non-negative integer")
+    count = (truth.lambda_above_per_mm3 + truth.lambda_below_per_mm3) * truth.specimen_volume_mm3
+    if count > MAX_EXPECTED_PORES:
+        raise UsageError(
+            f"(lambda_above_per_mm3 + lambda_below_per_mm3) * specimen_volume_mm3 = "
+            f"{count:g} expected pores is above {MAX_EXPECTED_PORES:g}, the most a "
+            "simulated specimen holds"
+        )
     # imported here so that `import poretail` does not load scipy.stats
     from scipy.stats import genpareto
 

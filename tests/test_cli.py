@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -761,6 +762,48 @@ class TestCompare:
         assert code == 1
         assert capsys.readouterr().err == f"poretail: usage error: {refusal} is not finite\n"
         assert not out.exists()
+
+    def test_warning_prints_without_library_paths(self, workspace, tmp_path):
+        # Python's default format printed "<site>/poretail/equivalence.py:<line>:
+        # UserWarning: ..." and the source line
+        proc = subprocess.run(
+            [sys.executable, "-m", "poretail", "compare",
+             "--prediction", str(workspace / "run" / "pred"), "--observed", "1000",
+             "--output", str(tmp_path / "far.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert ("poretail: warning: observation above histogram range; CDF floor reported\n"
+                in proc.stderr)
+        assert ".py:" not in proc.stderr
+
+    def test_warning_of_another_category_keeps_its_name(self, workspace, tmp_path):
+        # the library's notices are UserWarnings; a numpy RuntimeWarning points
+        # at a fault, so its category is printed
+        script = (
+            "import sys, warnings\n"
+            "import poretail.cli as cli\n"
+            "engine = cli.sample_largest\n"
+            "def noisy(*args, **kwargs):\n"
+            "    warnings.warn('overflow encountered in exp', RuntimeWarning)\n"
+            "    return engine(*args, **kwargs)\n"
+            "cli.sample_largest = noisy\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "predict", "--fit",
+             str(workspace / "run" / "syn_fit.txt"), "--volume", "100", "--mode", "none",
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "poretail: warning: RuntimeWarning: overflow encountered in exp\n"
+
+    def test_warning_still_reaches_a_callers_capture(self, workspace, tmp_path):
+        with pytest.warns(UserWarning, match="above histogram range"):
+            assert main(["compare", "--prediction", str(workspace / "run" / "pred"),
+                         "--observed", "1000", "--output", str(tmp_path / "far.csv")]) == 0
+        assert warnings.formatwarning is not poretail.cli._format_warning
 
     def test_multiple_observations(self, workspace, tmp_path):
         out = tmp_path / "multi.csv"

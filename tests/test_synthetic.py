@@ -5,8 +5,9 @@ from scipy.stats import genpareto, kstest
 
 from poretail.equivalence import FunctionCdf, ks_statistic
 from poretail.extremes import McConfig, VolumeOfInterest, fit_tail, sample_largest
-from poretail.gpd import GpdParams, mle_covariance
+from poretail.gpd import GpdParams, UsageError, mle_covariance
 from poretail.synthetic import (
+    MAX_EXPECTED_PORES,
     BulkModel,
     GroundTruth,
     _gpd_draws_plain,
@@ -88,6 +89,29 @@ class TestGenerateSpecimen:
         bulk = ds.diameters_um[ds.diameters_um <= truth.tail.threshold_um]
         assert bulk.size > 0
         assert np.all(bulk > 0)
+
+
+    def test_expected_count_above_the_bound_is_refused_by_name(self, monkeypatch):
+        # refused before any draw: a count far below numpy's Poisson limit used
+        # to be drawn and then exhaust memory. The truth itself is accepted, as
+        # an oracle that draws per volume of interest may use it.
+        class Drew(Exception):
+            pass
+
+        def no_draws(seed):
+            raise Drew
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        at_bound = make_truth(lam_above=0.25 * MAX_EXPECTED_PORES / 100.0,
+                              lam_below=0.75 * MAX_EXPECTED_PORES / 100.0)
+        with pytest.raises(Drew):
+            generate_specimen(at_bound, 1)
+        above = make_truth(lam_above=0.25 * MAX_EXPECTED_PORES / 100.0,
+                           lam_below=0.75 * MAX_EXPECTED_PORES / 100.0 * 1.0000134)
+        with pytest.raises(UsageError, match=(
+                r"^\(lambda_above_per_mm3 \+ lambda_below_per_mm3\) \* specimen_volume_mm3 = "
+                r"1\.00001e\+07 expected pores is above 1e\+07")):
+            generate_specimen(above, 1)
 
 
 class TestBruteForceTruth:
