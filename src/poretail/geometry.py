@@ -1,10 +1,11 @@
 """Pore geometry metrics and specimen ingestion.
 
-A specimen is its pore table held as columns: the cell text of the
-measured columns, kept so that a dump reproduces them byte for byte, and
-the metrics derived from them as arrays (equivalent spherical diameter,
-aspect ratio and sphericity). Every column is in canonical order,
-equivalent diameter descending, which is the order a dump writes.
+A specimen is its pore table held as columns: the measured columns, as
+the cell text read from a table (kept so that a dump reproduces it byte
+for byte) or as float values, and the metrics derived from them as arrays
+(equivalent spherical diameter, aspect ratio and sphericity). Every
+column is in canonical order, equivalent diameter descending, which is
+the order a dump writes.
 The metric functions accept a scalar or an array.
 """
 
@@ -13,8 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import dropwhile, repeat
+from itertools import dropwhile, repeat, tee
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -34,6 +36,8 @@ REQUIRED_COLUMNS = (
 )
 CENTROID_COLUMNS = ("centroid_x_um", "centroid_y_um", "centroid_z_um")
 DERIVED_COLUMNS = ("equiv_diameter_um", "aspect_ratio", "sphericity")
+# The measured columns that may be given as float values instead of text.
+_FLOAT_COLUMNS = REQUIRED_COLUMNS[1:]
 
 FLAG_SPHERICITY_ABOVE_UNITY = "sphericity above 1 (surface area below spherical minimum)"
 
@@ -117,11 +121,20 @@ def _parse(column: str, cells: np.ndarray) -> np.ndarray:
 def _refuse_first(bad: np.ndarray, column: str, cells: np.ndarray, reason: str) -> None:
     rows = np.flatnonzero(bad)
     if rows.size:
-        raise IngestError(f"row {rows[0] + 2}, column {column}: {reason}, got {cells[rows[0]]!r}")
+        raise IngestError(
+            f"row {rows[0] + 2}, column {column}: {reason}, got {cells.item(rows[0])!r}"
+        )
+
+
+def _is_values(column) -> bool:
+    """Whether a measured column is given as float values rather than cell text."""
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
 def _measurement(column: str, cells: np.ndarray) -> np.ndarray:
-    values = _parse(column, cells)
+    """The column's values, parsed unless given as values; refuses the first
+    that is not finite and positive."""
+    values = cells if _is_values(cells) else _parse(column, cells)
     _refuse_first(
         ~(np.isfinite(values) & (values > 0)), column, cells, "must be finite and positive"
     )
@@ -134,6 +147,15 @@ def _blank_coordinates(column: str, cells: np.ndarray) -> np.ndarray:
     values = _parse(column, np.where(blank, "nan", cells))
     _refuse_first(~blank & ~np.isfinite(values), column, cells, "must be finite")
     return blank
+
+
+def _column(name: str, given) -> np.ndarray:
+    """A measured column as an array: a float column's values as given, any other as text."""
+    if name in _FLOAT_COLUMNS and _is_values(given):
+        if given.ndim != 1:
+            raise IngestError(f"column {name}: values must be a 1-D array, got {given.ndim}-D")
+        return given.astype(float, copy=False)
+    return np.array(given, dtype=object)
 
 
 def _first_repeat(values: Sequence[str]) -> int | None:
@@ -154,16 +176,21 @@ class SpecimenDataset:
     ``cells`` maps each measured column (REQUIRED_COLUMNS, plus
     CENTROID_COLUMNS when all three are given) to its cell text, one entry
     per pore; a table whose centroids are all incomplete keeps no centroid
-    columns. Construction checks each column once and raises IngestError,
-    naming the row (the first pore is row 2, below the header) and column,
-    for a scanned volume that is not finite and positive, a measurement
-    that does not parse to a finite positive number, a min Feret diameter
-    above the max, a non-empty centroid cell that is not a finite number,
-    or a repeated pore_id.
+    columns. Each of the four float columns (``volume_um3``,
+    ``surface_area_um2``, ``min_feret_um``, ``max_feret_um``) may instead
+    be given as a 1-D float array of values, which is kept as values and
+    not formatted or parsed; ``pore_id`` and the centroids are always text.
+    Construction checks each column once and raises IngestError, naming
+    the row (the first pore is row 2, below the header) and column, for a
+    scanned volume that is not finite and positive, a measurement that
+    does not parse to (or is not) a finite positive number, a min Feret
+    diameter above the max, a non-empty centroid cell that is not a finite
+    number, or a repeated pore_id.
 
     It then derives the arrays ``diameters_um``, ``aspect_ratios`` and
-    ``sphericities``. Every column, text and arrays alike, is in canonical
-    order: equivalent diameter descending, ties in table order.
+    ``sphericities``. Every column, text, values and derived arrays alike,
+    is in canonical order: equivalent diameter descending, ties in table
+    order.
     ``quality_flags`` holds FLAG_SPHERICITY_ABOVE_UNITY when some sphericity
     exceeds 1: the surface area is below the spherical minimum (a voxel
     effect), which is flagged, not refused. Immutable after construction,
@@ -172,7 +199,7 @@ class SpecimenDataset:
 
     specimen_id: str
     scanned_volume_mm3: float
-    cells: Mapping[str, Sequence[str]]
+    cells: Mapping[str, Sequence[str] | np.ndarray]
     diameters_um: np.ndarray = field(init=False, repr=False)
     aspect_ratios: np.ndarray = field(init=False, repr=False)
     sphericities: np.ndarray = field(init=False, repr=False)
@@ -189,21 +216,21 @@ class SpecimenDataset:
         columns = REQUIRED_COLUMNS
         if all(c in self.cells for c in CENTROID_COLUMNS):
             columns += CENTROID_COLUMNS
-        text = {c: np.array(self.cells[c], dtype=object) for c in columns}
+        given = {c: _column(c, self.cells[c]) for c in columns}
 
-        volume, area, lo, hi = (_measurement(c, text[c]) for c in REQUIRED_COLUMNS[1:])
-        _refuse_first(lo > hi, "min_feret_um", text["min_feret_um"], "exceeds max_feret_um")
-        repeat_row = _first_repeat(text["pore_id"])
+        volume, area, lo, hi = (_measurement(c, given[c]) for c in _FLOAT_COLUMNS)
+        _refuse_first(lo > hi, "min_feret_um", given["min_feret_um"], "exceeds max_feret_um")
+        repeat_row = _first_repeat(given["pore_id"])
         if repeat_row is not None:
             raise IngestError(
-                f"row {repeat_row + 2}, column pore_id: repeats {text['pore_id'][repeat_row]!r}"
+                f"row {repeat_row + 2}, column pore_id: repeats {given['pore_id'][repeat_row]!r}"
             )
 
-        if CENTROID_COLUMNS[0] in text:
-            blank = np.column_stack([_blank_coordinates(c, text[c]) for c in CENTROID_COLUMNS])
+        if CENTROID_COLUMNS[0] in given:
+            blank = np.column_stack([_blank_coordinates(c, given[c]) for c in CENTROID_COLUMNS])
             if blank.any(axis=1).all():
                 for column in CENTROID_COLUMNS:
-                    del text[column]
+                    del given[column]
 
         diameters = _equiv_diameter(volume)
         sphericities = _sphere_surface_area(volume) / area
@@ -214,8 +241,11 @@ class SpecimenDataset:
             values.setflags(write=False)
             return values
 
+        # one array given for two columns (a sphere's Feret diameters) is held once
+        distinct = {id(t): t for t in given.values()}
+        held = {key: canonical(t) for key, t in distinct.items()}
         set_field = object.__setattr__
-        set_field(self, "cells", MappingProxyType({c: canonical(t) for c, t in text.items()}))
+        set_field(self, "cells", MappingProxyType({c: held[id(t)] for c, t in given.items()}))
         set_field(self, "diameters_um", canonical(diameters))
         set_field(self, "aspect_ratios", canonical(lo / hi))
         set_field(self, "sphericities", canonical(sphericities))
@@ -383,6 +413,11 @@ def _quoted(cells: list[str]) -> list[str]:
     return list(map(_quote_cell, cells))
 
 
+def _cell_text(cells: np.ndarray) -> Iterable[str]:
+    """A column's cells as written: text quoted as csv needs, float values as repr."""
+    return map(repr, cells.tolist()) if _is_values(cells) else _quoted(cells.tolist())
+
+
 def _write_columns(dest: IO[str], columns: Mapping[str, Iterable[str]]) -> None:
     """The header, then one line per row of the columns' cell text."""
     dest.write(",".join(columns) + "\n")
@@ -394,16 +429,23 @@ def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
 
     The measured columns' cell text is written verbatim, in double quotes
     where it holds a comma, a quote or a line break (csv's minimal
-    quoting), and the derived columns in shortest round-trip float format,
-    one row per pore in canonical (descending diameter) order.
+    quoting); a measured column given as values and the derived columns
+    are written in shortest round-trip float format (``repr``), so values
+    dump exactly as their ``repr`` text would. One row per pore, in
+    canonical (descending diameter) order.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             dump_specimen(dataset, handle)
             return
 
+    # a column held once for two names is formatted once, its text shared by tee
+    columns = dataset.cells
+    distinct = {id(cells): cells for cells in columns.values()}
+    uses = Counter(map(id, columns.values()))
+    text = {key: iter(tee(_cell_text(cells), uses[key])) for key, cells in distinct.items()}
     derived = (dataset.diameters_um, dataset.aspect_ratios, dataset.sphericities)
     _write_columns(dest, {
-        **{c: _quoted(cells.tolist()) for c, cells in dataset.cells.items()},
-        **{c: map(repr, d.tolist()) for c, d in zip(DERIVED_COLUMNS, derived)},
+        **{c: next(text[id(cells)]) for c, cells in columns.items()},
+        **{c: _cell_text(d) for c, d in zip(DERIVED_COLUMNS, derived)},
     })

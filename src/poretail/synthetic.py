@@ -29,9 +29,11 @@ from .gpd import GpdParams, TailFit, UsageError
 _CHUNK_PORE_DRAWS = 4_000_000
 # numpy's largest Poisson mean: it refuses to draw from any above it.
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
-# The most pores a drawn specimen may expect. generate_specimen holds about 0.75 kB
-# per pore (its cells are text) and writes about 110 bytes per pore, so this
-# many take about 7.5 GB to draw and 1.1 GB to write.
+# The most pores a drawn specimen may expect. generate_specimen holds about 110 B
+# per pore (its measured columns are float arrays) and peaks at about 190 B while
+# drawing; simulate, which also writes about 110 bytes per pore, peaks at about
+# 0.31 kB per pore traced by tracemalloc (0.40 kB of resident memory), so this
+# many take about 4 GB to draw and write, and 1.1 GB on disk.
 MAX_EXPECTED_PORES = 1e7
 
 
@@ -100,11 +102,13 @@ def generate_specimen(
 
     Tail and bulk counts are Poisson in the specimen volume; tail sizes are
     scipy Generalized Pareto draws. The measured columns describe spheres
-    (aspect ratio and sphericity of exactly 1) in shortest round-trip float
-    text, so a dump re-ingests to the same values. A drawn diameter whose
-    sphere has no finite positive volume is refused, naming the truth field
-    (tail or bulk) that drew it, and so are a negative seed and a truth that
-    expects more than MAX_EXPECTED_PORES pores, before any draw.
+    (aspect ratio and sphericity of exactly 1) and are handed to the
+    dataset as float values, never formatted and parsed; a dump writes them
+    in shortest round-trip float text, so it re-ingests to the same values.
+    A drawn diameter whose sphere has no finite positive volume is refused,
+    naming the truth field (tail or bulk) that drew it, and so are a
+    negative seed and a truth that expects more than MAX_EXPECTED_PORES
+    pores, before any draw.
     """
     if seed < 0:
         raise UsageError(f"seed = {seed} is not a non-negative integer")
@@ -145,16 +149,15 @@ def generate_specimen(
     volumes = np.pi / 6.0 * _pow(diameters, 3.0)
     ids = [f"t{i:06d}" for i in range(tail_sizes.size)]
     ids += [f"b{i:06d}" for i in range(bulk_sizes.size)]
-    feret = list(map(repr, diameters.tolist()))
     return SpecimenDataset(
         specimen_id=specimen_id or f"synthetic-{seed}",
         scanned_volume_mm3=volume,
         cells={
             "pore_id": ids,
-            "volume_um3": list(map(repr, volumes.tolist())),
-            "surface_area_um2": list(map(repr, sphere_surface_area(volumes).tolist())),
-            "min_feret_um": feret,
-            "max_feret_um": feret,
+            "volume_um3": volumes,
+            "surface_area_um2": sphere_surface_area(volumes),
+            "min_feret_um": diameters,
+            "max_feret_um": diameters,
         },
     )
 

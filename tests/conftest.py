@@ -41,18 +41,14 @@ def make_dataset(diameters, volume=100.0):
     """A specimen of spheres with these equivalent diameters (um)."""
     d = np.asarray(diameters, dtype=float)
     v = np.pi / 6.0 * d**3
-
-    def text(values):
-        return [repr(x) for x in values.tolist()]
-
     return SpecimenDataset(
         specimen_id="S", scanned_volume_mm3=volume,
         cells={
             "pore_id": [f"p{i}" for i in range(d.size)],
-            "volume_um3": text(v),
-            "surface_area_um2": text(sphere_surface_area(v)),
-            "min_feret_um": text(d),
-            "max_feret_um": text(d),
+            "volume_um3": v,
+            "surface_area_um2": sphere_surface_area(v),
+            "min_feret_um": d,
+            "max_feret_um": d,
         },
     )
 

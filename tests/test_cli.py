@@ -83,6 +83,10 @@ class TestSimulateAndGeom:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header.endswith("equiv_diameter_um,aspect_ratio,sphericity")
+        # simulate writes the canonical dump, so geom reproduces its table
+        assert out.read_text() == "".join(
+            line for line in text.splitlines(keepends=True) if not line.startswith("#")
+        )
         # simulated pores are spheres, so geom flags nothing
         assert "geom flags" not in capsys.readouterr().out
 

@@ -365,6 +365,102 @@ def test_synthesized_record_sphere_consistency():
     assert ds.quality_flags == ()
 
 
+FLOAT_COLUMNS = REQUIRED_COLUMNS[1:]
+TINIEST = 5e-324  # the smallest subnormal
+LARGEST = 1.7976931348623157e308
+# every positive finite float: subnormals, 17-digit values and values near 1e308
+any_positive = st.floats(min_value=TINIEST, max_value=LARGEST)
+
+
+def _from(columns, as_values):
+    """A dataset of these float columns, each given as values where as_values says so
+    and as its repr text otherwise."""
+    n = len(columns[0])
+    cells = {"pore_id": [f"p{i}" for i in range(n)]}
+    for column, values, keep in zip(FLOAT_COLUMNS, columns, as_values):
+        cells[column] = np.array(values, dtype=float) if keep else list(map(repr, values))
+    with np.errstate(all="ignore"):  # values near 1e308 overflow the derived metrics
+        return SpecimenDataset(specimen_id="S", scanned_volume_mm3=1.0, cells=cells)
+
+
+class TestValueColumns:
+    """A float column given as values acts exactly as its repr text."""
+
+    @given(
+        rows=st.lists(st.tuples(any_positive, any_positive, any_positive, any_positive),
+                      max_size=12),
+        as_values=st.tuples(*[st.booleans()] * 4),
+    )
+    @example(rows=[(TINIEST, 2.2250738585072014e-308, TINIEST, 1e-310),
+                   (0.30000000000000004, 1.2345678901234567, 0.1, 9007199254740993.0),
+                   (1e308, LARGEST, 1.7976931348623155e308, LARGEST),
+                   (523598.776, 31415.927, 95.0, 105.0)],
+             as_values=(True, True, True, True))
+    def test_values_match_their_repr_text(self, rows, as_values):
+        rows = [(v, a, *sorted(feret)) for v, a, *feret in rows]
+        columns = [list(c) for c in zip(*rows)] or [[]] * 4
+        text, values = _from(columns, (False,) * 4), _from(columns, as_values)
+        for name in ("diameters_um", "aspect_ratios", "sphericities"):
+            assert getattr(values, name).tobytes() == getattr(text, name).tobytes()
+        assert values.quality_flags == text.quality_flags
+        assert list(values.cells["pore_id"]) == list(text.cells["pore_id"])
+        for column, keep in zip(FLOAT_COLUMNS, as_values):
+            held = values.cells[column]
+            assert not held.flags.writeable
+            assert held.tolist() == (list(map(float, text.cells[column])) if keep
+                                     else text.cells[column].tolist())
+        assert _dump_text(values) == _dump_text(text)
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    def test_refusal_names_the_same_row_and_column(self, column, bad):
+        columns = [[4.0, 3.0, 2.0], [30.0, 20.0, 10.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
+        columns[FLOAT_COLUMNS.index(column)][1] = bad
+        with pytest.raises(IngestError) as from_text:
+            _from(columns, (False,) * 4)
+        with pytest.raises(IngestError) as from_values:
+            _from(columns, (True,) * 4)
+        assert str(from_values.value) == (
+            f"row 3, column {column}: must be finite and positive, got {bad!r}"
+        )
+        assert str(from_text.value) == (
+            f"row 3, column {column}: must be finite and positive, got {repr(bad)!r}"
+        )
+
+    def test_min_feret_above_max_names_the_same_row(self):
+        columns = [[4.0, 3.0, 2.0], [30.0, 20.0, 10.0], [1.0, 5.0, 1.0], [2.0, 2.0, 2.0]]
+        with pytest.raises(IngestError) as from_text:
+            _from(columns, (False,) * 4)
+        with pytest.raises(IngestError) as from_values:
+            _from(columns, (True,) * 4)
+        assert str(from_text.value) == "row 3, column min_feret_um: exceeds max_feret_um, got '5.0'"
+        assert str(from_values.value) == "row 3, column min_feret_um: exceeds max_feret_um, got 5.0"
+
+    def test_one_array_for_both_ferets_is_held_and_written_once(self):
+        d = np.array([2.0, 0.30000000000000004, 7.5])
+        v = np.pi / 6.0 * d**3
+        columns = [v.tolist(), sphere_surface_area(v).tolist(), d.tolist(), d.tolist()]
+        cells = {"pore_id": ["p0", "p1", "p2"], "volume_um3": v,
+                 "surface_area_um2": sphere_surface_area(v), "min_feret_um": d, "max_feret_um": d}
+        ds = SpecimenDataset(specimen_id="S", scanned_volume_mm3=1.0, cells=cells)
+        assert ds.cells["min_feret_um"] is ds.cells["max_feret_um"]
+        assert _dump_text(ds) == _dump_text(_from(columns, (False,) * 4))
+
+    def test_values_must_be_one_dimensional(self):
+        cells = {"pore_id": ["p1"], "volume_um3": np.array([[1.0]]),
+                 **{c: ["1.0"] for c in FLOAT_COLUMNS[1:]}}
+        with pytest.raises(IngestError, match="column volume_um3: values must be a 1-D array"):
+            SpecimenDataset(specimen_id="S", scanned_volume_mm3=1.0, cells=cells)
+
+    def test_callers_array_is_copied(self):
+        volumes = np.array([1.0, 8.0])
+        cells = {"pore_id": ["p1", "p2"], "volume_um3": volumes,
+                 **{c: ["1.0", "1.0"] for c in FLOAT_COLUMNS[1:]}}
+        ds = SpecimenDataset(specimen_id="S", scanned_volume_mm3=1.0, cells=cells)
+        volumes[:] = 3.0
+        assert ds.cells["volume_um3"].tolist() == [8.0, 1.0]
+
+
 class TestArrayMetrics:
     """The dataset's metric columns are the scalar formulas applied pore by pore."""
 

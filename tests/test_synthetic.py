@@ -3,8 +3,10 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import genpareto, kstest
 
+from poretail import geometry
 from poretail.equivalence import FunctionCdf, ks_statistic
 from poretail.extremes import McConfig, VolumeOfInterest, fit_tail, sample_largest
+from poretail.geometry import REQUIRED_COLUMNS
 from poretail.gpd import GpdParams, UsageError, mle_covariance
 from poretail.synthetic import (
     MAX_EXPECTED_PORES,
@@ -90,6 +92,16 @@ class TestGenerateSpecimen:
         assert bulk.size > 0
         assert np.all(bulk > 0)
 
+
+    def test_draws_reach_the_dataset_without_parsing(self, monkeypatch):
+        # the measured columns are handed over as values, never formatted and parsed
+        def no_parse(column, cells):
+            raise AssertionError(f"parsed {column}")
+
+        monkeypatch.setattr(geometry, "_parse", no_parse)
+        ds = generate_specimen(make_truth(), 3)
+        assert len(ds) > 0
+        assert all(ds.cells[c].dtype == float for c in REQUIRED_COLUMNS[1:])
 
     def test_expected_count_above_the_bound_is_refused_by_name(self, monkeypatch):
         # refused before any draw: a count far below numpy's Poisson limit used
