@@ -6,7 +6,7 @@ Gauss-Hermite rule) into the distribution of the largest pore in a volume
 of interest, and quantifies porosity equivalence between specimens.
 """
 
-__version__ = "0.4.10"
+__version__ = "0.4.11"
 
 from .geometry import (
     IngestError,

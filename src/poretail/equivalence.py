@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,22 +38,6 @@ class EmpiricalCdf:
 
     def cdf_left(self, x) -> np.ndarray:
         return np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="left") / self._sorted.size
-
-
-class FunctionCdf:
-    """Continuous CDF given as a callable, evaluated on a declared grid."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], grid) -> None:
-        self._fn = fn
-        self._grid = np.asarray(grid, dtype=float)
-
-    def knots(self) -> np.ndarray:
-        return self._grid
-
-    def cdf(self, x) -> np.ndarray:
-        return np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
-
-    cdf_left = cdf
 
 
 def ks_statistic(cdf_a, cdf_b) -> float:

@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import dropwhile, repeat, tee
+from itertools import dropwhile, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +43,8 @@ FLAG_SPHERICITY_ABOVE_UNITY = "sphericity above 1 (surface area below spherical 
 # Characters that make csv's minimal quoting quote a cell. A lone "\r" is
 # among them, so that a dump re-ingests.
 _QUOTE_CHARS = (",", '"', "\r", "\n")
+# Rows formatted and written at a time: a table's text is never held whole.
+_BLOCK_ROWS = 1024
 
 
 class IngestError(ValueError):
@@ -407,21 +408,53 @@ def _quote_cell(cell: str) -> str:
 
 
 def _quoted(cells: list[str]) -> list[str]:
-    """_quote_cell of every cell, scanning the column once when none needs quotes."""
+    """_quote_cell of every cell, scanning the cells once when none needs quotes."""
     if not _needs_quotes("".join(cells)):
         return cells
     return list(map(_quote_cell, cells))
 
 
-def _cell_text(cells: np.ndarray) -> Iterable[str]:
-    """A column's cells as written: text quoted as csv needs, float values as repr."""
-    return map(repr, cells.tolist()) if _is_values(cells) else _quoted(cells.tolist())
+def _block_text(block: np.ndarray) -> list[str]:
+    """A block of a column's cells as written: float values as repr, text quoted as csv needs."""
+    return list(map(repr, block.tolist())) if _is_values(block) else _quoted(block.tolist())
 
 
-def _write_columns(dest: IO[str], columns: Mapping[str, Iterable[str]]) -> None:
-    """The header, then one line per row of the columns' cell text."""
-    dest.write(",".join(columns) + "\n")
-    dest.writelines(map("{}\n".format, map(",".join, zip(*columns.values(), strict=True))))
+def _write_blocks(
+    dest: str | Path | IO[str], columns: Mapping[str, np.ndarray], head: str = ""
+) -> None:
+    """`head`, the header, then one line per row of the columns, _BLOCK_ROWS
+    rows at a time.
+
+    Each column is an array of float values or of cell text (see
+    _block_text). An array held under two names is formatted once per
+    block. Columns of unequal length are refused with ValueError before a
+    file is opened or anything is written.
+    """
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(
+            "columns of unequal length: "
+            + ", ".join(f"{name} has {n} row(s)" for name, n in lengths.items())
+        )
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as handle:
+            _write_blocks(handle, columns, head)
+            return
+    rows = max(lengths.values(), default=0)
+    width = len(columns)
+    dest.write(head + ",".join(columns) + "\n")
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        # cell, separator, cell, ...: a comma after each cell, a line break after each row's last
+        line = [","] * (2 * width * (stop - start))
+        line[2 * width - 1::2 * width] = ["\n"] * (stop - start)
+        text: dict[int, list[str]] = {}
+        for j, column in enumerate(columns.values()):
+            key = id(column)
+            if key not in text:
+                text[key] = _block_text(column[start:stop])
+            line[2 * j::2 * width] = text[key]
+        dest.write("".join(line))
 
 
 def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
@@ -432,20 +465,8 @@ def dump_specimen(dataset: SpecimenDataset, dest: str | Path | IO[str]) -> None:
     quoting); a measured column given as values and the derived columns
     are written in shortest round-trip float format (``repr``), so values
     dump exactly as their ``repr`` text would. One row per pore, in
-    canonical (descending diameter) order.
+    canonical (descending diameter) order, formatted and written a block
+    of rows at a time.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            dump_specimen(dataset, handle)
-            return
-
-    # a column held once for two names is formatted once, its text shared by tee
-    columns = dataset.cells
-    distinct = {id(cells): cells for cells in columns.values()}
-    uses = Counter(map(id, columns.values()))
-    text = {key: iter(tee(_cell_text(cells), uses[key])) for key, cells in distinct.items()}
     derived = (dataset.diameters_um, dataset.aspect_ratios, dataset.sphericities)
-    _write_columns(dest, {
-        **{c: next(text[id(cells)]) for c, cells in columns.items()},
-        **{c: _cell_text(d) for c, d in zip(DERIVED_COLUMNS, derived)},
-    })
+    _write_blocks(dest, {**dataset.cells, **dict(zip(DERIVED_COLUMNS, derived))})

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .extremes import _SUMMARY_FIELDS, LargestPoreDistribution, fit_exceedances
-from .geometry import IngestError, _parse, _quoted, _read_text, _table_columns, _write_columns
+from .geometry import IngestError, _parse, _read_text, _table_columns, _write_blocks
 from .gpd import RATE_KEYS, REFIT_ATOL, REFIT_RTOL, FitError, TailFit, UsageError
 
 FIT_FORMAT = "poretail-fit/1"
@@ -51,10 +51,16 @@ def provenance_lines(provenance: Mapping[str, object] | None) -> list[str]:
     return [f"# {key}={fmt(value)}" for key, value in provenance.items()]
 
 
-def _cells(values: Iterable) -> list[str]:
-    """Cell text of a table column: fmt of each value, None empty, and
-    quoted where csv needs it (numbers never do)."""
-    return _quoted(["" if value is None else fmt(value) for value in values])
+def _cells(values: Iterable) -> np.ndarray:
+    """A table column for the writer: floats (Python or numpy) as a float
+    array, written as fmt writes them; any other column as its cell text,
+    fmt of each value and None empty."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return values.astype(float, copy=False)
+    values = list(values)
+    if all(issubclass(kind, (float, np.floating)) for kind in set(map(type, values))):
+        return np.array(values, dtype=float)
+    return np.array(["" if value is None else fmt(value) for value in values], dtype=object)
 
 
 def write_table(
@@ -66,14 +72,15 @@ def write_table(
     row and optional provenance comments.
 
     Text cells holding a comma, a quote or a line break are written in
-    csv's minimal quoting, as in the specimen dump.
+    csv's minimal quoting, as in the specimen dump, and rows are written a
+    block at a time. Columns of unequal length are refused with ValueError
+    before anything is written.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            write_table(handle, columns, provenance)
-            return
-    dest.writelines(line + "\n" for line in provenance_lines(provenance))
-    _write_columns(dest, {name: _cells(values) for name, values in columns.items()})
+    _write_blocks(
+        dest,
+        {name: _cells(values) for name, values in columns.items()},
+        "".join(line + "\n" for line in provenance_lines(provenance)),
+    )
 
 
 def _keyvalue_text(items: Iterable[tuple[str, object]]) -> str:

@@ -31,9 +31,10 @@ _CHUNK_PORE_DRAWS = 4_000_000
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 # The most pores a drawn specimen may expect. generate_specimen holds about 110 B
 # per pore (its measured columns are float arrays) and peaks at about 190 B while
-# drawing; simulate, which also writes about 110 bytes per pore, peaks at about
-# 0.31 kB per pore traced by tracemalloc (0.40 kB of resident memory), so this
-# many take about 4 GB to draw and write, and 1.1 GB on disk.
+# drawing; simulate writes about 110 bytes per pore a block of rows at a time, so
+# the draw sets its peak too, about 0.19 kB per pore traced by tracemalloc (0.21 kB
+# of resident memory): this many take about 2 GB to draw and write, and 1.1 GB on
+# disk.
 MAX_EXPECTED_PORES = 1e7
 
 

@@ -37,6 +37,23 @@ def synthetic_fit(
     )
 
 
+class FunctionCdf:
+    """Continuous CDF given as a callable, evaluated on a declared grid; a
+    second operand for equivalence.ks_statistic."""
+
+    def __init__(self, fn, grid) -> None:
+        self._fn = fn
+        self._grid = np.asarray(grid, dtype=float)
+
+    def knots(self) -> np.ndarray:
+        return self._grid
+
+    def cdf(self, x) -> np.ndarray:
+        return np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
+
+    cdf_left = cdf
+
+
 def make_dataset(diameters, volume=100.0):
     """A specimen of spheres with these equivalent diameters (um)."""
     d = np.asarray(diameters, dtype=float)

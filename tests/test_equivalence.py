@@ -5,7 +5,6 @@ from scipy.stats import kstest
 
 from poretail.equivalence import (
     EmpiricalCdf,
-    FunctionCdf,
     build_report,
     ks_statistic,
     mode_comparison_table,
@@ -15,6 +14,8 @@ from poretail.equivalence import (
     q_value,
 )
 from poretail.extremes import LargestPoreDistribution, McConfig
+
+from conftest import FunctionCdf
 
 
 def uniform_dist(lo=0.0, hi=1.0, bins=400, **kwargs):

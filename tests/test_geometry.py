@@ -2,13 +2,16 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from poretail import geometry
 from poretail.geometry import (
     CENTROID_COLUMNS,
+    DERIVED_COLUMNS,
     FLAG_SPHERICITY_ABOVE_UNITY,
     IngestError,
     REQUIRED_COLUMNS,
@@ -22,7 +25,7 @@ from poretail.geometry import (
 )
 from poretail.geometry import _csv_columns, _table_columns
 from poretail.gpd import UsageError
-from poretail.reports import write_table
+from poretail.reports import fmt, write_table
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
 
@@ -782,3 +785,127 @@ def test_table_writer_matches_csv_reader(columns):
     # the bulk path where the text holds no quote, and csv.reader's path
     assert _table_columns(io.StringIO(text, newline=""), list(columns)) == expected
     assert _csv_columns(text, list(columns)) == expected
+
+
+# The writer formats _BLOCK_ROWS rows at a time; these row counts sit on and
+# either side of its block boundaries.
+BLOCK = geometry._BLOCK_ROWS
+BLOCK_ROW_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, TINIEST, 2.2250738585072014e-308,
+               LARGEST, 0.1, 0.30000000000000004]
+TEXT = st.text(st.one_of(st.characters(min_codepoint=1), CSV_SPECIALS), max_size=6)
+
+
+def _csv_field(text):
+    """csv's minimal quoting of one cell."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def _row_by_row(columns, head=""):
+    """A table as it was written a row at a time: fmt of each value, None
+    empty, each cell in csv's minimal quoting."""
+    cell = lambda value: _csv_field("" if value is None else fmt(value))
+    lines = [",".join(columns)]
+    lines += [",".join(map(cell, row)) for row in zip(*columns.values(), strict=True)]
+    return head + "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def tiled(draw, values, n):
+    """n cells from a short drawn pool of values, in a drawn order."""
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [pool[i] for i in rng.integers(len(pool), size=n)]
+
+
+@st.composite
+def block_table_columns(draw, n):
+    """Columns of n rows for write_table: floats (edge values, float32, as a list or
+    an array), mixed cells, text that csv must quote, and one array under two names."""
+    floats = draw(tiled(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), n))
+    narrow = np.array(draw(tiled(st.floats(width=32), n)), dtype=np.float32)
+    mixed = draw(tiled(st.one_of(st.none(), st.booleans(), st.integers(), TEXT, st.floats()), n))
+    shared = np.array(floats[::-1])
+    kinds = {
+        "floats": floats,
+        "float_array": np.array(floats),
+        "float32": narrow,
+        "float32_list": list(narrow),
+        "mixed": mixed,
+        "text": draw(tiled(TEXT, n)),
+        "shared_a": shared,
+        "shared_b": shared,
+    }
+    names = draw(st.lists(st.sampled_from(list(kinds)), min_size=1, max_size=len(kinds),
+                          unique=True))
+    return {name: kinds[name] for name in names}
+
+
+class TestBlockWriter:
+    """Tables written a block of rows at a time read byte for byte as written a row at a time."""
+
+    @pytest.mark.parametrize("n", BLOCK_ROW_COUNTS)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_table_matches_row_by_row(self, n, data):
+        columns = data.draw(block_table_columns(n))
+        out = io.StringIO()
+        write_table(out, columns, provenance={"seed": 1, "id": "a b"})
+        # compared by line, so that pytest's report of a difference stays short
+        expected = _row_by_row(columns, "# seed=1\n# id=a b\n")
+        assert out.getvalue().split("\n") == expected.split("\n")
+
+    @pytest.mark.parametrize("n", BLOCK_ROW_COUNTS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_dump_matches_row_by_row(self, n, data):
+        ids = data.draw(tiled(TEXT, n))
+        measured = st.one_of(st.sampled_from([TINIEST, 0.1, LARGEST]), any_positive)
+        volume, area, feret = (np.array(data.draw(tiled(measured, n))) for _ in range(3))
+        # each measured column given as values or as its repr text
+        cells = {"pore_id": [f"{prefix}{i}" for i, prefix in enumerate(ids)]}
+        for column, values in (("volume_um3", volume), ("surface_area_um2", area)):
+            as_values = data.draw(st.booleans())
+            cells[column] = values if as_values else list(map(repr, values.tolist()))
+        # one array for both Feret diameters, as a sphere's are given
+        cells["min_feret_um"] = cells["max_feret_um"] = feret
+        if data.draw(st.booleans()):
+            centroid = st.sampled_from(["", "1.5", "-0.0", "2e3"])
+            cells.update({c: data.draw(tiled(centroid, n)) for c in CENTROID_COLUMNS})
+        with np.errstate(all="ignore"):  # values near 1e308 overflow the derived metrics
+            ds = SpecimenDataset(specimen_id="S", scanned_volume_mm3=1.0, cells=cells)
+        derived = (ds.diameters_um, ds.aspect_ratios, ds.sphericities)
+        expected = _row_by_row({**ds.cells, **dict(zip(DERIVED_COLUMNS, derived))})
+        assert _dump_text(ds).split("\n") == expected.split("\n")
+
+    def test_dump_memory_stays_within_a_block(self):
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        rng = np.random.default_rng(3)
+        volume = rng.uniform(1.0, 1e6, 50_000)
+        area = sphere_surface_area(volume) * rng.uniform(1.0, 2.0, volume.size)
+        feret = rng.uniform(1.0, 100.0, volume.size)
+        cells = {"pore_id": [f"p{i}" for i in range(volume.size)], "volume_um3": volume,
+                 "surface_area_um2": area, "min_feret_um": feret, "max_feret_um": feret}
+        ds = SpecimenDataset(specimen_id="S", scanned_volume_mm3=1.0, cells=cells)
+        tracemalloc.start()
+        try:
+            dump_specimen(ds, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text of a 50k-pore table, or a column of it, is several MB
+        assert peak < 2_000_000
+
+    def test_unequal_columns_are_refused_before_anything_is_written(self, tmp_path):
+        columns = {"a": [1.0] * (BLOCK + 5), "b": ["x"] * (BLOCK + 4)}
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=rf"^columns of unequal length: a has {BLOCK + 5} "):
+            write_table(out, columns, provenance={"seed": 1})
+        assert out.getvalue() == ""
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="unequal length"):
+            write_table(path, columns)
+        assert not path.exists()

@@ -4,7 +4,7 @@ from scipy.special import ndtr
 from scipy.stats import genpareto, kstest
 
 from poretail import geometry
-from poretail.equivalence import FunctionCdf, ks_statistic
+from poretail.equivalence import ks_statistic
 from poretail.extremes import McConfig, VolumeOfInterest, fit_tail, sample_largest
 from poretail.geometry import REQUIRED_COLUMNS
 from poretail.gpd import GpdParams, UsageError, mle_covariance
@@ -18,7 +18,7 @@ from poretail.synthetic import (
     generate_specimen,
 )
 
-from conftest import synthetic_fit
+from conftest import FunctionCdf, synthetic_fit
 
 
 def make_truth(shape=0.2, lam_above=2.0, lam_below=20.0, volume=100.0,
